@@ -13,11 +13,9 @@ cost is charged to the issuing CPU thread instead).
 
 from __future__ import annotations
 
-from typing import Generator
-
 from repro.hw.numa import NumaTopology
 from repro.hw.params import HardwareParams
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 
 __all__ = ["PcieLink"]
 
@@ -35,6 +33,7 @@ class PcieLink:
         self._bus = Resource(sim, capacity=1, name=self.name)
         self.dma_bytes = 0
         self.dma_count = 0
+        self._on_dma_end = self._dma_end
         # Per-link memoized transfer times keyed (mem_socket, nbytes,
         # segments) — one dict probe on the per-WR hot path instead of two
         # method calls into the topology.  Params/topology are immutable,
@@ -61,11 +60,12 @@ class PcieLink:
                 self._time_cache[key] = duration
         return duration
 
-    def dma(self, nbytes: int, mem_socket: int, segments: int = 1
-            ) -> Generator:
-        """Process step: perform one DMA to/from ``mem_socket`` memory.
+    def dma(self, nbytes: int, mem_socket: int, segments: int = 1) -> Event:
+        """Perform one DMA to/from ``mem_socket`` memory.
 
-        Occupies the bus for the transfer duration; yields until done.
+        Returns the bus hold (:meth:`Resource.hold`): an event firing once
+        the transfer has occupied the bus for its duration, with the
+        counters already bumped.
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
@@ -76,12 +76,10 @@ class PcieLink:
                 self.socket, mem_socket, nbytes, segments)
             if len(self._time_cache) < 8192:
                 self._time_cache[key] = duration
-        yield self._bus.acquire()
-        try:
-            yield duration
-        finally:
-            self._bus.release()
-        self.dma_bytes += nbytes
+        return self._bus.hold(duration, nbytes, self._on_dma_end)
+
+    def _dma_end(self, ev: Event) -> None:
+        self.dma_bytes += ev._value
         self.dma_count += 1
 
     def mmio_time(self, core_socket: int) -> float:

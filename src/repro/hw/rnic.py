@@ -14,14 +14,14 @@ the bottleneck (flat latency/throughput); beyond, the link is.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.fabric import DcqcnLimiter, Fabric
 from repro.hw.numa import NumaTopology
 from repro.hw.params import HardwareParams
 from repro.hw.pcie import PcieLink
 from repro.hw.sram import MetadataCache
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 
 __all__ = ["Rnic", "RnicPort"]
 
@@ -47,6 +47,8 @@ class RnicPort:
                              name=f"{name}.pcie")
         self.tx_ops = 0
         self.rx_ops = 0
+        self._on_tx_end = self._tx_end
+        self._on_rx_end = self._rx_end
         #: Stepped-pipeline WRs currently in flight through this port.
         #: The express lane (repro.verbs.express) refuses to book a
         #: closed-form timeline while a stepped op holds (or may yet
@@ -134,22 +136,20 @@ class RnicPort:
         return max(processing, wire)
 
     def exec_tx(self, exec_ns: float, payload_bytes: int, n_sge: int = 1,
-                extra_ns: float = 0.0) -> Generator:
-        """Process step: occupy the requester pipeline for one WQE."""
+                extra_ns: float = 0.0) -> Event:
+        """Occupy the requester pipeline for one WQE (a unit hold event)."""
         hold = self._perturb(
             self.tx_occupancy_ns(exec_ns, payload_bytes, n_sge, extra_ns))
-        yield self.tx_unit.acquire()
-        try:
-            yield hold
-        finally:
-            self.tx_unit.release()
+        return self.tx_unit.hold(hold, payload_bytes, self._on_tx_end)
+
+    def _tx_end(self, ev: Event) -> None:
         self.tx_ops += 1
-        self.rnic.fabric.record(payload_bytes)
+        self.rnic.fabric.record(ev._value)
 
     # -- responder side -----------------------------------------------------
     def exec_rx(self, base_ns: float, extra_ns: float = 0.0,
-                payload_bytes: int = 0) -> Generator:
-        """Process step: responder pipeline occupancy for one inbound op.
+                payload_bytes: int = 0) -> Event:
+        """Responder pipeline occupancy for one inbound op (a hold event).
 
         Holds for ``max(processing, inbound serialization)``: a port can
         only absorb data at link rate, so many-to-one traffic queues here
@@ -163,21 +163,14 @@ class RnicPort:
             hold = self._perturb(max(base_ns + extra_ns, wire))
         else:
             hold = self._perturb(base_ns + extra_ns)
-        yield self.rx_unit.acquire()
-        try:
-            yield hold
-        finally:
-            self.rx_unit.release()
-        self.rx_ops += 1
+        return self.rx_unit.hold(hold, None, self._on_rx_end)
 
-    def exec_atomic(self, extra_ns: float = 0.0) -> Generator:
-        """Process step: responder-side atomic execution (serialized)."""
+    def exec_atomic(self, extra_ns: float = 0.0) -> Event:
+        """Responder-side atomic execution (serialized; a hold event)."""
         hold = self._perturb(self._params.exec_atomic_ns + extra_ns)
-        yield self.atomic_unit.acquire()
-        try:
-            yield hold
-        finally:
-            self.atomic_unit.release()
+        return self.atomic_unit.hold(hold, None, self._on_rx_end)
+
+    def _rx_end(self, _ev: Event) -> None:
         self.rx_ops += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,23 +1,23 @@
 """Express lane: closed-form WR timelines for the sunny one-sided path.
 
 The stepped pipeline (:meth:`repro.verbs.qp.QueuePair._execute`) pays
-~13-19 engine events per WR: a process boot, an acquire grant + hold
-sleep per contended unit (WQE DMA, payload fetch, tx unit, responder
-rx/atomic, response and delivery DMAs), constant sleeps (forward wire,
-read turnaround, response wire, CQE DMA), two process-completion events
-and an ``all_of`` barrier for the cut-through pairs, and the final
-``done`` event.  On the *sunny* path — QP in RTS, plain single-switch
-routes, no faults, no DCQCN, no tracer/sanitizer — every hold duration
-is pure arithmetic, known the moment the unit is granted.
+11-14 engine events per WR (single-switch, signaled): a process boot,
+one fused :meth:`Resource.hold` per occupied unit (WQE DMA, payload
+fetch, tx unit, responder rx/atomic, response and delivery DMAs),
+constant sleeps (forward wire, read turnaround, response wire, CQE DMA),
+an ``all_of`` join per cut-through pair, and the final ``done`` event.
+On the *sunny* path — QP in RTS, plain single-switch routes, no faults,
+no DCQCN, no tracer/sanitizer — every hold duration is pure arithmetic,
+known the moment the unit is granted.
 
 This module replays that timeline with one fused wake-up
-(:meth:`Simulator.call_at`) per *hold* and per *constant sleep*, roughly
-halving the events per WR while keeping schedules bit-identical.  The
-load-bearing invariant is tie order: the engine breaks ties at an
-instant by event *allocation order* (the global ``seq``), and the
-stepped path allocates each hold's end event at its **grant** dispatch —
-the arrival dispatch when the unit is free, the *releaser's* dispatch
-when it queued.  Anything keyed to arrival order instead inverts
+(:meth:`Simulator.call_at`) per *hold* and per *constant sleep* and no
+process at all: 8-12 events per WR, with every completion bit-identical
+to the stepped lane.  The load-bearing invariant is tie order: the
+engine breaks ties at an instant by event *allocation order* (the
+global ``seq``), and the stepped path allocates each hold's end event
+at its **grant** — at the call when the unit is free, at the
+*releaser's* dispatch when it queued (:meth:`Resource.hold`).  Anything keyed to arrival order instead inverts
 same-instant completion ties under contention, and the inversion
 propagates through shared LRU state (metadata SRAM) into different
 tables.  So the lane mirrors the grant structure literally:
@@ -27,14 +27,14 @@ tables.  So the lane mirrors the grant structure literally:
   immediately (``now + dur``); a booking against a busy unit queues.
 * Every end-wake handler *first* grants the next queued booking —
   allocating the successor's end-wake at this very dispatch, exactly
-  where the stepped ``Resource.release`` pushes its grant — then bumps
-  the unit's counters (``tx_ops``/``rx_ops``/``dma_count``…) and only
-  then continues its own op, matching the stepped ``finally:
-  release()`` / counter / continue order statement for statement.
+  where the stepped ``Resource.release`` does — then bumps the unit's
+  counters (``tx_ops``/``rx_ops``/``dma_count``…) and only then
+  continues its own op, matching the stepped hold's callback order
+  (release, end callback, waiter resume).
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
   DMA) join with one extra same-instant wake mirroring the stepped
   ``all_of`` resume; single holds continue inline in their end-wake,
-  like a ``yield from`` subgenerator resuming its caller.
+  like the stepped process resuming from ``yield hold``.
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) each get their own wake allocated at the same instant the
   stepped path allocates the corresponding sleep.
@@ -231,10 +231,9 @@ class ExpressState:
     def _hold(self, fifo: _Fifo, dur: float, cb) -> None:
         """Book a timed hold: grant now if free, else queue FIFO.
 
-        The end-wake is allocated at the grant dispatch — here when the
-        unit is free, at the releaser's dispatch when queued — which is
-        precisely where the stepped path allocates it (the hold sleep is
-        pushed when the process resumes from ``yield res.acquire()``).
+        The end-wake is allocated at the grant — here when the unit is
+        free, at the releaser's dispatch when queued — which is precisely
+        where the stepped :meth:`Resource.hold` allocates it.
         """
         if fifo.held:
             fifo.queue.append((dur, cb))

@@ -14,6 +14,12 @@ end-to-end decomposition (Section II-B3/B4):
    host memory (atomic ops serialize on the responder's atomic unit);
 5. the ACK/response returns and a CQE is DMA'd to the host.
 
+Each occupied unit (PCIe bus, tx/rx/atomic execution unit) is one fused
+:meth:`repro.sim.Resource.hold` event, and a cut-through pair is an
+``all_of`` over two holds: a signaled single-switch WR steps through
+11-14 engine events (the express lane, :mod:`repro.verbs.express`,
+replays the same timeline in 8-12).
+
 CPU-side costs (WQE prep, doorbell MMIO, CQE polling) are charged to the
 *calling thread* by :class:`repro.verbs.verbs.Worker`, not here — hardware
 and software costs are strictly separated, which is what lets the three
@@ -367,7 +373,7 @@ class QueuePair:
                        prev: Optional[Event]) -> Generator:
         # One chained DMA fetch for the whole WQE list (the doorbell win).
         total_wqe = sum(self._wqe_bytes(w) for w in wrs)
-        yield from self.local_port.pcie.dma(total_wqe, self.sq_socket)
+        yield self.local_port.pcie.dma(total_wqe, self.sq_socket)
         for wr, ev in zip(wrs, events):
             # WQEs of one doorbell run back-to-back through the pipeline;
             # each chains on its predecessor for in-order completion.
@@ -403,7 +409,7 @@ class QueuePair:
 
         # 1. WQE fetch (skipped when a doorbell batch prefetched it).
         if fetch_wqe:
-            yield from lport.pcie.dma(self._wqe_bytes(wr), self.sq_socket)
+            yield lport.pcie.dma(self._wqe_bytes(wr), self.sq_socket)
         if stamp is not None:
             stamp("wqe_fetch")
 
@@ -441,25 +447,11 @@ class QueuePair:
                     yield pace
             if outbound and not inline:
                 buf_socket = wr.sgl[0].mr.socket if wr.sgl else lport.socket
-                fetch = sim.process(
-                    lport.pcie.dma(outbound, buf_socket, segments=wr.n_sge))
-                tx = sim.process(
-                    lport.exec_tx(exec_ns, wire_payload, wr.n_sge, extra))
-                yield sim.all_of([fetch, tx])
+                yield sim.all_of([
+                    lport.pcie.dma(outbound, buf_socket, segments=wr.n_sge),
+                    lport.exec_tx(exec_ns, wire_payload, wr.n_sge, extra)])
             else:
-                # Inlined lport.exec_tx: the single-attempt inline-payload
-                # case is the hottest path in every small-op bench, and the
-                # extra generator frame + yield-from delegation are
-                # measurable at millions of ops.
-                hold = lport._perturb(lport.tx_occupancy_ns(
-                    exec_ns, wire_payload, wr.n_sge, extra))
-                yield lport.tx_unit.acquire()
-                try:
-                    yield hold
-                finally:
-                    lport.tx_unit.release()
-                lport.tx_ops += 1
-                lrnic.fabric.record(wire_payload)
+                yield lport.exec_tx(exec_ns, wire_payload, wr.n_sge, extra)
             if (lport.link_up and rport.link_up
                     and lport.loss_prob == 0.0 and rport.loss_prob == 0.0):
                 # Sunny path: neither port can drop, so skip the per-attempt
@@ -602,7 +594,7 @@ class QueuePair:
                 (rmr.mr_id, wr.remote_offset))
             yield word_lock.acquire()
             try:
-                yield from rport.exec_atomic(extra_ns=r_extra)
+                yield rport.exec_atomic(extra_ns=r_extra)
                 value = self._apply_atomic(wr)
             finally:
                 word_lock.release()
@@ -628,12 +620,10 @@ class QueuePair:
             try:
                 # Cut-through drain: the responder DMA-writes packets to
                 # host memory while later packets are still arriving.
-                rx = sim.process(rport.exec_rx(
-                    p.responder_ns, extra_ns=r_extra,
-                    payload_bytes=total_len))
-                drain = sim.process(
-                    rport.pcie.dma(total_len, rmr.socket))
-                yield sim.all_of([rx, drain])
+                yield sim.all_of([
+                    rport.exec_rx(p.responder_ns, extra_ns=r_extra,
+                                  payload_bytes=total_len),
+                    rport.pcie.dma(total_len, rmr.socket)])
             finally:
                 if word_lock is not None:
                     word_lock.release()
@@ -643,19 +633,19 @@ class QueuePair:
             rmr = wr.remote_mr
             r_extra += rrnic.translate(
                 rmr.page_keys(wr.remote_offset, total_len))
-            yield from rport.exec_rx(p.responder_ns, extra_ns=r_extra)
+            yield rport.exec_rx(p.responder_ns, extra_ns=r_extra)
             # Host-memory fetch turnaround: pure latency, pipelined by the
             # hardware, so it does not occupy the responder unit.
             yield p.read_turnaround_ns
-            yield from rport.pcie.dma(total_len, rmr.socket)
+            yield rport.pcie.dma(total_len, rmr.socket)
             # Response data serializes on the responder's link (this is why
             # outbound READ underperforms inbound WRITE — Section IV-C).
-            yield from rport.exec_tx(p.responder_ns, total_len)
+            yield rport.exec_tx(p.responder_ns, total_len)
             response_payload = total_len
         elif wr.opcode is Opcode.SEND:
-            yield from rport.exec_rx(p.responder_ns, extra_ns=r_extra,
-                                     payload_bytes=wr.payload_bytes)
-            yield from rport.pcie.dma(max(wr.payload_bytes, 1), rport.socket)
+            yield rport.exec_rx(p.responder_ns, extra_ns=r_extra,
+                                payload_bytes=wr.payload_bytes)
+            yield rport.pcie.dma(max(wr.payload_bytes, 1), rport.socket)
 
         if stamp is not None:
 
@@ -682,8 +672,7 @@ class QueuePair:
         # 7. Local delivery: READ data scattered into local buffers.
         if wr.opcode is Opcode.READ:
             buf_socket = wr.sgl[0].mr.socket
-            yield from lport.pcie.dma(
-                total_len, buf_socket, segments=wr.n_sge)
+            yield lport.pcie.dma(total_len, buf_socket, segments=wr.n_sge)
             if wr.move_data:
                 self._apply_read(wr)
         if wr.opcode is Opcode.SEND:

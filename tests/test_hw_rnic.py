@@ -71,7 +71,7 @@ def test_exec_tx_serializes_wqes(setup):
     done = []
 
     def op(tag):
-        yield from port.exec_tx(params.exec_write_ns, 32)
+        yield port.exec_tx(params.exec_write_ns, 32)
         done.append((tag, sim.now))
 
     sim.process(op("a"))
@@ -88,7 +88,7 @@ def test_exec_atomic_serializes(setup):
     times = []
 
     def op():
-        yield from port.exec_atomic()
+        yield port.exec_atomic()
         times.append(sim.now)
 
     for _ in range(3):
@@ -124,7 +124,7 @@ def test_pcie_dma_charges_transfer_time():
     link = PcieLink(sim, params, topo, socket=0)
 
     def op():
-        yield from link.dma(1024, mem_socket=0)
+        yield link.dma(1024, mem_socket=0)
 
     p = sim.process(op())
     sim.run(until=p)
@@ -139,7 +139,7 @@ def test_pcie_dma_cross_socket_penalty():
     link = PcieLink(sim, params, topo, socket=0)
 
     def op():
-        yield from link.dma(64, mem_socket=1)
+        yield link.dma(64, mem_socket=1)
 
     p = sim.process(op())
     sim.run(until=p)
@@ -155,7 +155,7 @@ def test_pcie_dma_negative_size():
     link = PcieLink(sim, params, NumaTopology(params), socket=0)
 
     def op():
-        yield from link.dma(-1, mem_socket=0)
+        yield link.dma(-1, mem_socket=0)
 
     p = sim.process(op())
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -173,3 +173,164 @@ def test_store_handoff_to_waiting_getter():
     sim.run()
     assert got == ["direct"]
     assert len(store) == 0
+
+
+# ------------------------------------------------------------ fused holds
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_hold_and_acquire_waiters_share_one_fifo(capacity):
+    """Mixed acquire()/hold() requests are granted in arrival order."""
+    sim = Simulator()
+    res = Resource(sim, capacity=capacity)
+    granted = []
+
+    def acquirer(tag, service):
+        yield res.acquire()
+        granted.append((tag, sim.now))
+        yield service
+        res.release()
+
+    def holder(tag, service):
+        yield res.hold(service)
+        # A hold wakes only at its end: its grant was one service earlier.
+        granted.append((tag, sim.now - service))
+
+    sim.process(acquirer("a0", 10.0))
+    sim.process(holder("h1", 10.0))
+    sim.process(acquirer("a2", 10.0))
+    sim.process(holder("h3", 10.0))
+    sim.process(acquirer("a4", 10.0))
+    sim.run()
+    starts = dict(granted)
+    order = sorted(starts, key=lambda tag: (starts[tag], tag[1]))
+    assert order == ["a0", "h1", "a2", "h3", "a4"]
+    # Capacity c serves c requests per 10 ns wave.
+    assert [starts[t] for t in order] == [
+        10.0 * (i // capacity) for i in range(5)]
+    assert res.in_use == 0 and res.queue_len == 0
+
+
+def test_hold_value_and_end_callback_run_after_release():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    seen = []
+
+    def on_end(ev):
+        seen.append(("end", sim.now, res.in_use, ev.value))
+
+    def proc():
+        value = yield res.hold(25.0, value="v", on_end=on_end)
+        seen.append(("resumed", sim.now, value))
+
+    sim.process(proc())
+    sim.run()
+    assert seen == [("end", 25.0, 0, "v"), ("resumed", 25.0, "v")]
+
+
+def test_hold_grants_the_next_waiter_before_its_end_callback():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+    first = res.hold(5.0, on_end=lambda ev: log.append(
+        ("end", res.in_use, res.queue_len)))
+    res.hold(5.0)
+    assert (res.in_use, res.queue_len) == (1, 1)
+    sim.run(until=first)
+    assert log == [("end", 1, 0)]
+    sim.run()
+    assert sim.now == 10.0 and res.in_use == 0
+
+
+def test_hold_busy_time_matches_acquire_sleep_release():
+    def run(fused):
+        sim = Simulator()
+        res = Resource(sim, capacity=2)
+
+        def worker(start, service):
+            yield start
+            if fused:
+                yield res.hold(service)
+            else:
+                yield res.acquire()
+                yield service
+                res.release()
+
+        for start, service in [(0.0, 30.0), (5.0, 10.0), (10.0, 40.0),
+                               (70.0, 5.0), (90.0, 0.0)]:
+            sim.process(worker(start, service))
+        sim.run(until=100.0)
+        return res.busy_time(), res.utilization(), sim.events_processed
+
+    (busy_a, util_a, ev_a) = run(fused=False)
+    (busy_h, util_h, ev_h) = run(fused=True)
+    assert busy_h == busy_a == pytest.approx(60.0)
+    assert util_h == util_a == pytest.approx(0.6)
+    assert ev_h < ev_a  # one event per hold instead of grant + sleep
+
+
+def test_queued_hold_counts_in_queue_len_and_can_be_cancelled():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first = res.hold(10.0)
+    queued = res.hold(10.0)
+    waiter = res.acquire()
+    assert res.queue_len == 2
+    res.cancel(queued)
+    assert res.queue_len == 1
+    assert queued.cancelled
+    sim.run()
+    assert first.processed and not queued.processed
+    # The withdrawn hold never held the slot: the acquire got it at 10.
+    assert waiter.processed and sim.now == 10.0
+    assert res.in_use == 1
+    res.release()
+    assert res.busy_time() == pytest.approx(10.0)
+
+
+def test_cancel_of_a_granted_hold_is_a_no_op():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    ev = res.hold(10.0)
+    res.cancel(ev)
+    sim.run()
+    assert ev.processed and res.in_use == 0
+
+
+@pytest.mark.parametrize("queued", [False, True])
+def test_interrupting_a_hold_waiter_does_not_leak_the_slot(queued):
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    if queued:
+        res.hold(10.0)
+    caught = []
+
+    def victim():
+        try:
+            yield res.hold(20.0)
+        except Interrupt:
+            caught.append(sim.now)
+
+    def interrupter(proc):
+        yield 1.0
+        proc.interrupt()
+
+    v = sim.process(victim())
+    sim.process(interrupter(v))
+    sim.run()
+    assert caught == [1.0]
+    # The hold ran to its end and released the slot.
+    assert res.in_use == 0 and res.queue_len == 0
+    assert sim.now == (30.0 if queued else 20.0)
+    later = res.acquire()
+    sim.run()
+    assert later.processed
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_hold_rejects_bad_durations_at_the_call(bad):
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    with pytest.raises(ValueError):
+        res.hold(bad)
+    assert res.in_use == 0 and res.queue_len == 0
+    assert not sim._heap
