@@ -601,29 +601,33 @@ class Simulator:
             return ev
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` ns from now (pooled fast path)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+    def _pooled_timeout(self, delay: float, value: Any) -> Timeout:
+        """A recycled (or fresh) Timeout, reset but not yet scheduled.
+
+        The caller marks it triggered and pushes it: :meth:`timeout` at
+        once, :meth:`Resource.hold` when the slot is granted.
+        """
         pool = self._timeout_pool
         if pool:
             ev = pool.pop()
-            ev._value = value
-            ev._ok = True
-            ev._triggered = True
-            ev._processed = False
-            ev._cancelled = False
-            ev.delay = delay
         else:
             ev = Timeout.__new__(Timeout)
             ev.sim = self
             ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._triggered = True
-            ev._processed = False
-            ev._cancelled = False
-            ev.delay = delay
+        ev._value = value
+        ev._ok = True
+        ev._triggered = False
+        ev._processed = False
+        ev._cancelled = False
+        ev.delay = delay
+        return ev
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event firing ``delay`` ns from now (pooled fast path)."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        ev = self._pooled_timeout(delay, value)
+        ev._triggered = True
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self.now + delay, NORMAL, seq, ev))
         return ev
