@@ -140,7 +140,14 @@ class Link:
         tail-dropped (see docs/FABRIC.md for the rationale).
         """
         packets = self.packets_of(nbytes)
-        wire = nbytes + packets * self.overhead_bytes
+        return self._admit(now, packets,
+                           nbytes + packets * self.overhead_bytes, droppable)
+
+    def _admit(self, now: float, packets: int, wire: int,
+               droppable: bool) -> tuple[float, bool, bool, int]:
+        """:meth:`admit` with the message's packet count and wire bytes
+        already worked out (``Route.traverse`` does that once per
+        message, not once per hop)."""
         self.packets_in += packets
         self.bytes_in += wire
         if not self.up:
@@ -226,10 +233,14 @@ class Route:
             yield self.plain_ns
             return (True, False)
         sim = self.fabric.sim
+        # Every link of a route shares the fabric's MTU and per-packet
+        # overhead, so the message splits the same way on each hop.
+        packets = links[0].packets_of(nbytes)
+        wire = nbytes + packets * links[0].overhead_bytes
         marked = False
         for link in links:
-            delay, ecn, dropped, packets = link.admit(
-                sim.now, nbytes, droppable)
+            delay, ecn, dropped, packets = link._admit(
+                sim.now, packets, wire, droppable)
             chk = sim.check
             if chk is not None:
                 chk.on_fabric_hop(

@@ -2,12 +2,13 @@
 completion clock.
 
 An :class:`OpenLoopGenerator` walks a precomputed arrival timeline
-(:mod:`repro.workloads.arrivals`) and spawns one fire-and-forget process
-per request — offered load is independent of service progress, so when
-the plane saturates, queues grow, deadlines lapse, and the shed rate
-(not the injection rate) gives.  That is the behaviour closed-loop
-clients structurally cannot show: they self-throttle to the service
-rate and the knee never appears.
+(:mod:`repro.workloads.arrivals`) and spawns one detached process
+(:meth:`~repro.sim.Simulator.spawn`) per request — offered load is
+independent of service progress, so when the plane saturates, queues
+grow, deadlines lapse, and the shed rate (not the injection rate)
+gives.  That is the behaviour closed-loop clients structurally cannot
+show: they self-throttle to the service rate and the knee never
+appears.
 
 Requests report one of four outcomes (:class:`~repro.load.frontdoor.
 KvResult` semantics): "hit" / "ok" count as delivered and contribute a
@@ -46,16 +47,23 @@ class OpenLoopGenerator:
         self.sheds = 0
         self.errors = 0
         self.latencies: list[float] = []
-        self._requests: list = []
-        self._injector = None
+        #: Unfinished work: the injector (until it has walked the whole
+        #: timeline) plus every spawned request not yet finished;
+        #: drain() runs until this reaches zero.
+        self._pending = 0
+        self._started = False
+        #: Set only while drain() waits: fires when the last request
+        #: finishes, or fails with the first request's error.
+        self._idle = None
 
     # -- injection ------------------------------------------------------------
     def start(self) -> None:
         """Begin injecting (call before ``sim.run``)."""
-        if self._injector is not None:
+        if self._started:
             raise RuntimeError(f"{self.name}: already started")
-        self._injector = self.sim.process(
-            self._inject(), name=f"{self.name}.inject")
+        self._started = True
+        self._pending = 1  # the injector itself
+        self.sim.spawn(self._inject(), name=f"{self.name}.inject")
 
     def _inject(self) -> Generator:
         sim = self.sim
@@ -64,37 +72,60 @@ class OpenLoopGenerator:
             if delay > 0:
                 yield delay
             self.offered += 1
-            self._requests.append(
-                sim.process(self._request(i), name=f"{self.name}.r{i}"))
+            self._pending += 1
+            sim.spawn(self._request(i), name=f"{self.name}.r{i}")
+        self._pending -= 1
+        self._settle()
 
     def _request(self, i: int) -> Generator:
         t0 = self.sim.now
-        result = yield from self.request_fn(i)
-        outcome = getattr(result, "outcome", result)
-        if outcome in ("hit", "ok"):
-            self.delivered += 1
-            if outcome == "hit":
-                self.hits += 1
-            self.latencies.append(self.sim.now - t0)
-        elif outcome == "shed":
-            self.sheds += 1
-        elif outcome == "error":
-            self.errors += 1
-        else:
-            raise ValueError(
-                f"{self.name}: request {i} returned unknown outcome "
-                f"{outcome!r}")
+        try:
+            result = yield from self.request_fn(i)
+            outcome = getattr(result, "outcome", result)
+            if outcome in ("hit", "ok"):
+                self.delivered += 1
+                if outcome == "hit":
+                    self.hits += 1
+                self.latencies.append(self.sim.now - t0)
+            elif outcome == "shed":
+                self.sheds += 1
+            elif outcome == "error":
+                self.errors += 1
+            else:
+                raise ValueError(
+                    f"{self.name}: request {i} returned unknown outcome "
+                    f"{outcome!r}")
+        except Exception as exc:
+            idle = self._idle
+            if idle is None or idle._triggered:
+                raise  # nobody drains: the crash surfaces from sim.run()
+            # Hand drain() the request's own error, not a wrapped crash.
+            idle.fail(exc)
+            return
+        self._pending -= 1
+        self._settle()
+
+    def _settle(self) -> None:
+        # Fired by the last request just before it returns, the idle
+        # event takes the key its end event would have had; the elided
+        # end then consumes one more seq, so later keys shift by one.
+        idle = self._idle
+        if idle is not None and not idle._triggered and not self._pending:
+            idle.succeed()
 
     # -- draining -------------------------------------------------------------
     def drain(self) -> None:
         """Run the simulation until the timeline is fully injected and
         every spawned request has finished."""
-        if self._injector is None:
+        if not self._started:
             raise RuntimeError(f"{self.name}: start() before drain()")
-        self.sim.run(until=self._injector)
-        # New requests cannot appear past this point; settle the stragglers.
-        for proc in self._requests:
-            self.sim.run(until=proc)
+        if not self._pending:
+            return
+        self._idle = self.sim.event()
+        try:
+            self.sim.run(until=self._idle)
+        finally:
+            self._idle = None
 
     # -- results --------------------------------------------------------------
     @property

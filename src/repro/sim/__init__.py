@@ -18,6 +18,7 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timeout,
+    Wake,
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.channels import Channel
@@ -44,6 +45,7 @@ __all__ = [
     "StatAccumulator",
     "Store",
     "Timeout",
+    "Wake",
     "WindowedRate",
     "make_rng",
     "percentile",

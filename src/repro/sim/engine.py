@@ -46,6 +46,16 @@ event is dispatched, never which event fires next.
   dispatch loop, skipping Event construction, callback lists and pool
   probes entirely.  Sequence numbers are allocated at the same moments,
   so the two spellings produce bit-identical schedules.
+* **Callback lane** — :meth:`Simulator.wake_at` pushes a caller-owned
+  :class:`Wake` marker; the dispatch loop runs ``wake.fn(wake)`` with no
+  Event object, callback list or pool round trip.  Closed-form models
+  (the verbs express lane) keep one marker per flight and re-push it.
+* **Observer-free events** — :meth:`Simulator.spawn` starts a detached
+  process with no handle and no end event, and
+  :meth:`Store.put_nowait` hands over an item without an acceptance
+  event.  Nothing can listen to those events, so they are not
+  scheduled; each still consumes its sequence number, so every event
+  that does fire keeps the key it had (see docs/PERFORMANCE.md).
 
 The enqueue order — one global ``_seq`` incremented per scheduled event,
 keys ``(now + delay, priority, seq)`` — is untouched by all of the above,
@@ -75,6 +85,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
+    "Wake",
 ]
 
 #: Free-list bound per pool: enough to absorb the steady-state churn of a
@@ -140,6 +151,29 @@ class _Sleep:
         # superseded sleep marker behaves like a tombstoned Timeout.
         p = self.proc
         return p is None or p._waiting_on is not self
+
+
+class Wake:
+    """Heap marker for the callback lane: run ``fn(wake)`` at an instant.
+
+    Pushed by :meth:`Simulator.wake_at`; the dispatch loop calls
+    ``wake.fn(wake)`` and nothing else — no Event object, no callback
+    list, no ``_processed`` bookkeeping, no pool probe.  ``arg`` carries
+    whatever context ``fn`` needs.  The marker belongs to its caller and
+    may be pushed again as soon as it has been dispatched, so a
+    closed-form timeline needs one marker per flight, not one per wake.
+    There is no cancellation: a caller that might change its mind must
+    use :meth:`Simulator.timeout` and cancel the Timeout.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    #: Read by peek()/step(), which probe heap entries uniformly.
+    _cancelled = False
+
+    def __init__(self, fn: Callable[["Wake"], None], arg: Any = None):
+        self.fn = fn
+        self.arg = arg
 
 
 class Event:
@@ -490,6 +524,27 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
+class _Detached(Process):
+    """A process started by :meth:`Simulator.spawn`: nobody holds it.
+
+    With no handle there can be no waiter, so finishing schedules no end
+    event; the sequence number that event would have taken is consumed
+    all the same, keeping every later key where it was.  A crash has no
+    waiter to fail either, so it always surfaces from
+    :meth:`Simulator.run` (``callbacks`` stays empty).
+    """
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        self._triggered = True
+        self._processed = True
+        self._value = value
+        self.callbacks = None
+        self.sim._seq += 1
+        return self
+
+
 class AnyOf(Event):
     """Fires when the first of ``events`` fires.
 
@@ -632,31 +687,32 @@ class Simulator:
         heappush(self._heap, (self.now + delay, NORMAL, seq, ev))
         return ev
 
-    def call_at(self, when: float, fn: Callable[["Event"], None]) -> Event:
-        """Fused wake-up: run ``fn(event)`` once at absolute time ``when``.
+    def wake_at(self, when: float, wake: Wake) -> None:
+        """Callback lane: run ``wake.fn(wake)`` at absolute time ``when``.
 
-        The express lane's one-event primitive: a pooled Event is pre-marked
-        triggered and pushed directly at ``when`` (absolute, not ``now +
-        delay`` — closed-form timelines are computed as absolute instants
-        and must not pick up float error from a round trip through a
-        delta).  The dispatch loop handles it through the ordinary
-        non-Sleep branch; ``event.cancel()`` tombstones it in O(1), so a
-        recomputed timeline can reschedule cheaply.  Keys are allocated
-        from the same global ``_seq`` as every other event, preserving
-        deterministic tie order.
+        ``when`` is absolute, not ``now + delay``: closed-form timelines
+        are computed as absolute instants and must not pick up float
+        error from a round trip through a delta.  Float dust below
+        ``now`` from long arithmetic chains is clamped to ``now``.  The
+        key is ``(when, NORMAL, next seq)`` from the same global counter
+        as every other event, so ties with Timeouts and bare sleeps at
+        one instant dispatch in allocation order.
         """
-        ev = self.event()
-        ev._triggered = True
-        ev._value = None
-        ev.callbacks.append(fn)
-        if when < self.now:  # float dust from long arithmetic chains
+        if when < self.now:
             when = self.now
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (when, NORMAL, seq, ev))
-        return ev
+        heappush(self._heap, (when, NORMAL, seq, wake))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
+
+    def spawn(self, generator: Generator, name: str = "") -> None:
+        """Start ``generator`` as a detached process: no handle, no end
+        event.  For fire-and-forget work whose result travels by other
+        means (a completion event, a counter); the schedule is the one
+        :meth:`process` gives, minus the end event nobody could wait on.
+        An exception inside it surfaces from :meth:`run`."""
+        _Detached(self, generator, name=name)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -698,8 +754,11 @@ class Simulator:
         self.now = when
         if self.check is not None:
             self.check.on_dispatch(when)
-        if type(event) is _Sleep:
+        t = type(event)
+        if t is _Sleep:
             event.proc._step(event, throw=False)
+        elif t is Wake:
+            event.fn(event)
         else:
             event._run_callbacks()
         self.events_processed += 1
@@ -767,77 +826,23 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        # One dispatch body for both modes.  The stop test sits AFTER
+        # dispatch (the awaited event can only trigger as a consequence
+        # of one).  Each lane ends in its own crash check and
+        # ``continue``: on CPython 3.11 a shared tail after the lanes ran
+        # sleep-only loops up to 2x slower for their first ~10^6 events.
         try:
-            # Two specialized copies of the dispatch body: the stop-event
-            # mode moves its termination test AFTER dispatch (the awaited
-            # event can only trigger as a consequence of a dispatch) and
-            # the drain/horizon mode drops the stop checks entirely —
-            # two fewer branches per event than one merged loop.
-            if stop is not None and stop._processed:
-                pass  # already delivered before run() was entered
-            elif stop is not None:
-                while True:
-                    if not heap:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited "
-                            "event fired (deadlock?)"
-                        )
-                    when, _prio, _seq, event = pop(heap)
-                    if type(event) is _Sleep:
-                        # Bare-delay fast lane: resume the sleeper in
-                        # place — no callbacks, no pooling probes.
-                        p = event.proc
-                        if p is None or p._waiting_on is not event:
-                            continue  # interrupted sleeper: tombstone
-                        if when < self.now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self.now = when
-                        if trace is not None:
-                            trace(when, _prio, _seq)
-                        if chk is not None:
-                            chk.on_dispatch(when)
-                        dispatched += 1
-                        p._waiting_on = None
-                        try:
-                            target = p._send(None)
-                        except StopIteration as fin:
-                            p.succeed(fin.value)
-                        except BaseException as exc:
-                            if not p.callbacks:
-                                self._crash(exc, p)
-                                p._triggered = True
-                                p._ok = False
-                                p._value = exc
-                            else:
-                                p.fail(exc)
-                        else:
-                            if type(target) is float:
-                                p._waiting_on = event
-                                self._seq = seq2 = self._seq + 1
-                                push(heap, (when + target, NORMAL, seq2,
-                                            event))
-                            elif isinstance(target, Event):
-                                p._waiting_on = target
-                                cbs = target.callbacks
-                                if cbs is not None:
-                                    cbs.append(p._bound_resume)
-                                else:
-                                    target.add_callback(p._bound_resume)
-                            else:
-                                self._crash(SimulationError(
-                                    f"process {p.name!r} yielded "
-                                    f"{target!r}; processes must yield "
-                                    "Event instances or bare float delays"
-                                ), p)
-                        if self._crashed is not None:
-                            self._raise_crash()
-                        if stop._processed:
-                            break
-                        continue
-                    if event._cancelled:
-                        self._recycle(event)
-                        continue
+            while heap and (stop is None or not stop._processed):
+                if horizon is not None and heap[0][0] > horizon:
+                    break
+                when, _prio, _seq, event = pop(heap)
+                t = type(event)
+                if t is _Sleep:
+                    # Bare-delay lane: resume the sleeper in place — no
+                    # callbacks, no pooling probes.
+                    p = event.proc
+                    if p is None or p._waiting_on is not event:
+                        continue  # interrupted sleeper: tombstone
                     if when < self.now:
                         raise SimulationError("event scheduled in the past")
                     self.now = when
@@ -845,125 +850,95 @@ class Simulator:
                         trace(when, _prio, _seq)
                     if chk is not None:
                         chk.on_dispatch(when)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
                     dispatched += 1
+                    p._waiting_on = None
+                    try:
+                        target = p._send(None)
+                    except StopIteration as fin:
+                        p.succeed(fin.value)
+                    except BaseException as exc:
+                        if not p.callbacks:
+                            self._crash(exc, p)
+                            p._triggered = True
+                            p._ok = False
+                            p._value = exc
+                        else:
+                            p.fail(exc)
+                    else:
+                        if type(target) is float:
+                            p._waiting_on = event
+                            self._seq = seq2 = self._seq + 1
+                            push(heap, (when + target, NORMAL, seq2, event))
+                        elif isinstance(target, Event):
+                            p._waiting_on = target
+                            cbs = target.callbacks
+                            if cbs is not None:
+                                cbs.append(p._bound_resume)
+                            else:
+                                target.add_callback(p._bound_resume)
+                        else:
+                            self._crash(SimulationError(
+                                f"process {p.name!r} yielded {target!r}; "
+                                "processes must yield Event instances or "
+                                "bare float delays"), p)
                     if self._crashed is not None:
                         self._raise_crash()
-                    # Inline recycle: pool Timeouts/Events nobody else
-                    # holds.  refs == 2: the loop local + the probe arg.
-                    t = type(event)
-                    if t is Timeout:
-                        if refs(event) == 2 and len(tpool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            tpool.append(event)
-                    elif t is Event:
-                        if refs(event) == 2 and len(epool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            epool.append(event)
-                    if stop._processed:
-                        break
+                    continue
+                if t is Wake:
+                    # Callback lane: wake_at clamped ``when`` to the
+                    # present, so no past check is needed.
+                    self.now = when
+                    if trace is not None:
+                        trace(when, _prio, _seq)
+                    if chk is not None:
+                        chk.on_dispatch(when)
+                    dispatched += 1
+                    event.fn(event)
+                    if self._crashed is not None:
+                        self._raise_crash()
+                    continue
+                if event._cancelled:
+                    self._recycle(event)
+                    continue
+                if when < self.now:
+                    raise SimulationError("event scheduled in the past")
+                self.now = when
+                if trace is not None:
+                    trace(when, _prio, _seq)
+                if chk is not None:
+                    chk.on_dispatch(when)
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    for cb in callbacks:
+                        cb(event)
+                dispatched += 1
+                if self._crashed is not None:
+                    self._raise_crash()
+                # Inline recycle: pool Timeouts/Events nobody else holds.
+                # refs == 2: the loop local + the probe arg.
+                if t is Timeout:
+                    if refs(event) == 2 and len(tpool) < _POOL_CAP:
+                        if callbacks is not None:
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                        else:
+                            event.callbacks = []
+                        tpool.append(event)
+                elif t is Event:
+                    if refs(event) == 2 and len(epool) < _POOL_CAP:
+                        if callbacks is not None:
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                        else:
+                            event.callbacks = []
+                        epool.append(event)
             else:
-                while heap:
-                    if horizon is not None and heap[0][0] > horizon:
-                        break
-                    when, _prio, _seq, event = pop(heap)
-                    if type(event) is _Sleep:
-                        p = event.proc
-                        if p is None or p._waiting_on is not event:
-                            continue  # interrupted sleeper: tombstone
-                        if when < self.now:
-                            raise SimulationError(
-                                "event scheduled in the past")
-                        self.now = when
-                        if trace is not None:
-                            trace(when, _prio, _seq)
-                        if chk is not None:
-                            chk.on_dispatch(when)
-                        dispatched += 1
-                        p._waiting_on = None
-                        try:
-                            target = p._send(None)
-                        except StopIteration as fin:
-                            p.succeed(fin.value)
-                        except BaseException as exc:
-                            if not p.callbacks:
-                                self._crash(exc, p)
-                                p._triggered = True
-                                p._ok = False
-                                p._value = exc
-                            else:
-                                p.fail(exc)
-                        else:
-                            if type(target) is float:
-                                p._waiting_on = event
-                                self._seq = seq2 = self._seq + 1
-                                push(heap, (when + target, NORMAL, seq2,
-                                            event))
-                            elif isinstance(target, Event):
-                                p._waiting_on = target
-                                cbs = target.callbacks
-                                if cbs is not None:
-                                    cbs.append(p._bound_resume)
-                                else:
-                                    target.add_callback(p._bound_resume)
-                            else:
-                                self._crash(SimulationError(
-                                    f"process {p.name!r} yielded "
-                                    f"{target!r}; processes must yield "
-                                    "Event instances or bare float delays"
-                                ), p)
-                        if self._crashed is not None:
-                            self._raise_crash()
-                        continue
-                    if event._cancelled:
-                        self._recycle(event)
-                        continue
-                    if when < self.now:
-                        raise SimulationError("event scheduled in the past")
-                    self.now = when
-                    if trace is not None:
-                        trace(when, _prio, _seq)
-                    if chk is not None:
-                        chk.on_dispatch(when)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-                    dispatched += 1
-                    if self._crashed is not None:
-                        self._raise_crash()
-                    t = type(event)
-                    if t is Timeout:
-                        if refs(event) == 2 and len(tpool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            tpool.append(event)
-                    elif t is Event:
-                        if refs(event) == 2 and len(epool) < _POOL_CAP:
-                            if callbacks is not None:
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                            else:
-                                event.callbacks = []
-                            epool.append(event)
+                if stop is not None and not stop._processed:
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited "
+                        "event fired (deadlock?)")
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -192,6 +192,24 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """:meth:`put` for a producer that never waits on acceptance.
+
+        The acceptance event nobody would listen to is not scheduled; its
+        sequence number is consumed all the same, so every event that
+        does fire keeps the key it has under :meth:`put`.  A full store
+        still queues the item behind a real put event.
+        """
+        if self._getters:
+            # Hand the item straight to the oldest waiting getter.
+            self._getters.popleft().succeed(item)
+        elif len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self.put(item)
+            return
+        self.sim._seq += 1
+
     def get(self) -> Event:
         ev = self.sim.event()
         if self._items:

@@ -112,7 +112,7 @@ class ServicePlane:
             self.metrics.record_reject(tenant, reason)
             return self._rejected_event(wr)
         done = Event(self.sim)
-        self.sim.process(
+        self.sim.spawn(
             self._run_op(tenant, qp, wr, done, self.sim.now),
             name=f"tenancy.{tenant}.{wr.opcode.value}")
         return done
@@ -131,7 +131,7 @@ class ServicePlane:
                 self.metrics.record_reject(tenant, reason)
             return [self._rejected_event(w) for w in wrs]
         dones = [Event(self.sim) for _ in wrs]
-        self.sim.process(
+        self.sim.spawn(
             self._run_batch(tenant, qp, wrs, dones, self.sim.now),
             name=f"tenancy.{tenant}.doorbell[{len(wrs)}]")
         return dones

@@ -27,7 +27,7 @@ class CompletionQueue:
     def push(self, completion: Completion) -> None:
         """Hardware-side: deposit a CQE."""
         self.produced += 1
-        self._store.put(completion)
+        self._store.put_nowait(completion)
 
     def poll(self) -> Optional[Completion]:
         """Non-blocking poll, as ``ibv_poll_cq`` (returns None if empty)."""

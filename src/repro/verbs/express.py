@@ -1,7 +1,7 @@
 """Express lane: closed-form WR timelines for the sunny one-sided path.
 
 The stepped pipeline (:meth:`repro.verbs.qp.QueuePair._execute`) pays
-11-14 engine events per WR (single-switch, signaled): a process boot,
+9-12 engine events per WR (single-switch, signaled): a process boot,
 one fused :meth:`Resource.hold` per occupied unit (WQE DMA, payload
 fetch, tx unit, responder rx/atomic, response and delivery DMAs),
 constant sleeps (forward wire, read turnaround, response wire, CQE DMA),
@@ -10,17 +10,22 @@ On the *sunny* path — QP in RTS, plain single-switch routes, no faults,
 no DCQCN, no tracer/sanitizer — every hold duration is pure arithmetic,
 known the moment the unit is granted.
 
-This module replays that timeline with one fused wake-up
-(:meth:`Simulator.call_at`) per *hold* and per *constant sleep* and no
-process at all: 8-12 events per WR, with every completion bit-identical
-to the stepped lane.  The load-bearing invariant is tie order: the
-engine breaks ties at an instant by event *allocation order* (the
-global ``seq``), and the stepped path allocates each hold's end event
-at its **grant** — at the call when the unit is free, at the
-*releaser's* dispatch when it queued (:meth:`Resource.hold`).  Anything keyed to arrival order instead inverts
-same-instant completion ties under contention, and the inversion
-propagates through shared LRU state (metadata SRAM) into different
-tables.  So the lane mirrors the grant structure literally:
+This module replays that timeline on the engine's callback lane and
+with no process at all.  Each op owns one reusable :class:`Wake` marker
+(plus a second one for the concurrent half of a cut-through pair);
+every hold end, constant delay and join resume re-pushes it with
+:meth:`Simulator.wake_at`, which dispatches ``wake.fn(wake)`` with no
+Event object behind it.  That is 7-11 events per WR, with every
+completion bit-identical to the stepped lane.
+
+The load-bearing invariant is tie order: the engine breaks ties at an
+instant by event *allocation order* (the global ``seq``), and the
+stepped path allocates each hold's end event at its **grant** — at the
+call when the unit is free, at the *releaser's* dispatch when it
+queued (:meth:`Resource.hold`).  Anything keyed to arrival order
+instead inverts same-instant completion ties under contention, and the
+inversion propagates through shared LRU state (metadata SRAM) into
+different tables.  So the lane mirrors the grant structure literally:
 
 * Each contended resource gets a real-time FIFO mirror (``_Fifo``).  A
   booking made while the unit is free schedules its end-wake
@@ -43,7 +48,7 @@ tables.  So the lane mirrors the grant structure literally:
   grant instant.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
-  its wake callback to that event — the very mechanism the stepped
+  a completion callback to that event — the very mechanism the stepped
   ``yield prev`` uses — so it resumes at the same dispatch, after any
   application waiters that subscribed earlier.
 
@@ -75,9 +80,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim import Wake
 from repro.verbs.types import Completion, CompletionStatus, Opcode
 from repro.verbs.qp import QPState, QueuePair
 
@@ -88,14 +93,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExpressState", "ExpressOp"]
 
-# Op phases — the target of the op's *primary* wake callback (``wcb``).
-# The secondary callback (``wcb2``) serves the concurrent half of a
+# Op phases — the target of the op's *primary* wake marker (``wake``).
+# The secondary marker (``wake2``) serves the concurrent half of a
 # cut-through pair and is disambiguated by the same phase field.
 (P_WQE,      # WQE DMA end: requester evals, exec bookings
- P_EXEC,     # tx-unit hold end (wcb2: payload-fetch DMA end)
+ P_EXEC,     # tx-unit hold end (wake2: payload-fetch DMA end)
  P_EXEC_R,   # cut-through join resume (mirrors the all_of wake)
  P_Y,        # forward wire: request arrives at the responder
- P_SVC,      # WRITE rx / atomic-unit hold end (wcb2: drain DMA end)
+ P_SVC,      # WRITE rx / atomic-unit hold end (wake2: drain DMA end)
  P_SVC_R,    # WRITE service join resume
  P_RX,       # READ responder hold end
  P_TURN,     # READ host-memory turnaround elapsed
@@ -105,15 +110,14 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_DLV,      # READ local delivery DMA end
  P_TAIL,     # WRITE/atomic response wire elapsed
  P_T,        # CQE DMA end: completion instant
- P_PARK,     # waiting on the predecessor's done dispatch (in-order RC)
- P_DONE) = range(16)
+ P_DONE) = range(15)
 
 
 class _Fifo:
     """Real-time FIFO mirror of one capacity-1 :class:`Resource`.
 
     ``held`` says a booking is in service; ``queue`` holds bookings made
-    while busy — ``(dur, cb)`` pairs for timed holds, bare ops for
+    while busy — ``(dur, wake)`` pairs for timed holds, bare ops for
     atomic word locks (their span ends when the owner's service does).
     Busy-time accounting is written through to the mirrored Resource so
     ``utilization()`` reports identically under either lane.
@@ -146,8 +150,8 @@ class ExpressOp:
         # held word-lock FIFO (WRITE-to-hot-word / atomics), else None
         "wl",
         "value",
-        # wake callbacks: primary (phase-dispatched) and cut-through
-        "wcb", "wcb2",
+        # wake markers: primary (phase-dispatched) and cut-through
+        "wake", "wake2",
     )
 
     def __init__(self, state: "ExpressState", qp: "QueuePair",
@@ -174,8 +178,8 @@ class ExpressOp:
         self.h2 = 0.0
         self.wl = None
         self.value = None
-        self.wcb = partial(state._on_wake, self)
-        self.wcb2 = None
+        self.wake = Wake(state._on_wake, self)
+        self.wake2 = None
 
 
 class ExpressState:
@@ -228,7 +232,7 @@ class ExpressState:
             f = self._fifos[res] = _Fifo(res)
         return f
 
-    def _hold(self, fifo: _Fifo, dur: float, cb) -> None:
+    def _hold(self, fifo: _Fifo, dur: float, wake: Wake) -> None:
         """Book a timed hold: grant now if free, else queue FIFO.
 
         The end-wake is allocated at the grant — here when the unit is
@@ -236,14 +240,14 @@ class ExpressState:
         where the stepped :meth:`Resource.hold` allocates it.
         """
         if fifo.held:
-            fifo.queue.append((dur, cb))
+            fifo.queue.append((dur, wake))
             return
         fifo.held = True
         res = fifo.res
         if res._in_use == 0 and res._busy_since is None:
             res._busy_since = self.sim.now
         sim = self.sim
-        sim.call_at(sim.now + dur, cb)
+        sim.wake_at(sim.now + dur, wake)
 
     def _release(self, fifo: _Fifo) -> None:
         """End one hold: grant the next queued booking *at this dispatch*
@@ -251,9 +255,9 @@ class ExpressState:
         mark the unit idle and close out its busy-time span."""
         q = fifo.queue
         if q:
-            dur, cb = q.popleft()
+            dur, wake = q.popleft()
             sim = self.sim
-            sim.call_at(sim.now + dur, cb)
+            sim.wake_at(sim.now + dur, wake)
             return
         fifo.held = False
         res = fifo.res
@@ -298,7 +302,7 @@ class ExpressState:
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
         lp = qp.local_port
         self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(wqe, qp.sq_socket), op.wcb)
+                   lp.pcie.dma_ns(wqe, qp.sq_socket), op.wake)
         return op
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
@@ -319,12 +323,13 @@ class ExpressState:
         lead.wqe_bytes = total
         lp = qp.local_port
         self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(total, qp.sq_socket), lead.wcb)
+                   lp.pcie.dma_ns(total, qp.sq_socket), lead.wake)
         return ops[-1]
 
     # ------------------------------------------------------------- wake-ups
-    def _on_wake(self, op: ExpressOp, _ev) -> None:
+    def _on_wake(self, wake: Wake) -> None:
         """Primary wake: advance ``op`` across the boundary ``op.phase``."""
+        op = wake.arg
         phase = op.phase
         if phase == P_WQE:
             self._wqe_end(op)
@@ -357,11 +362,10 @@ class ExpressState:
             self._tail_end(op)
         elif phase == P_T:
             self._try_finish(op)
-        elif phase == P_PARK:
-            self._complete(op)
 
-    def _on_wake2(self, op: ExpressOp, _ev) -> None:
+    def _on_wake2(self, wake: Wake) -> None:
         """Secondary wake: the concurrent half of a cut-through pair."""
+        op = wake.arg
         qp = op.qp
         if op.phase == P_EXEC:
             # Payload-fetch DMA end (streams beside the tx hold).
@@ -413,14 +417,14 @@ class ExpressState:
             # Cut-through payload fetch rides the PCIe bus concurrently
             # with the tx hold; stepped spawns the fetch first.
             op.pending = 2
-            op.wcb2 = partial(self._on_wake2, op)
+            op.wake2 = Wake(self._on_wake2, op)
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
             self._hold(self._fifo(lp.pcie._bus),
                        lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge),
-                       op.wcb2)
+                       op.wake2)
         self._hold(self._fifo(lp.tx_unit),
                    lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge,
-                                      extra), op.wcb)
+                                      extra), op.wake)
 
     def _tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -439,13 +443,13 @@ class ExpressState:
             # Same-instant resume wake, mirroring the stepped all_of.
             op.phase = P_EXEC_R
             sim = self.sim
-            sim.call_at(sim.now, op.wcb)
+            sim.wake_at(sim.now, op.wake)
 
     def _exec_done(self, op: ExpressOp) -> None:
         """Exec stage complete: the request takes the forward wire."""
         op.phase = P_Y
         sim = self.sim
-        sim.call_at(sim.now + op.qp._fwd_ns, op.wcb)
+        sim.wake_at(sim.now + op.qp._fwd_ns, op.wake)
 
     # -- responder side ----------------------------------------------------
     def _arrive(self, op: ExpressOp) -> None:
@@ -464,7 +468,7 @@ class ExpressState:
                 rmr.page_keys(wr.remote_offset, total_len))
             op.phase = P_RX
             self._hold(self._fifo(rp.rx_unit), p.responder_ns + r_extra,
-                       op.wcb)
+                       op.wake)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -513,15 +517,16 @@ class ExpressState:
         rp = qp.remote_port
         op.phase = P_SVC
         op.pending = 2
-        if op.wcb2 is None:
-            op.wcb2 = partial(self._on_wake2, op)
-        self._hold(self._fifo(rp.rx_unit), op.h1, op.wcb)
-        self._hold(self._fifo(rp.pcie._bus), op.h2, op.wcb2)
+        if op.wake2 is None:
+            op.wake2 = Wake(self._on_wake2, op)
+        self._hold(self._fifo(rp.rx_unit), op.h1, op.wake)
+        self._hold(self._fifo(rp.pcie._bus), op.h2, op.wake2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         op.phase = P_SVC
-        self._hold(self._fifo(op.qp.remote_port.atomic_unit), op.h1, op.wcb)
+        self._hold(self._fifo(op.qp.remote_port.atomic_unit), op.h1,
+                   op.wake)
 
     def _write_rx_end(self, op: ExpressOp) -> None:
         rp = op.qp.remote_port
@@ -534,7 +539,7 @@ class ExpressState:
         if op.pending == 0:
             op.phase = P_SVC_R
             sim = self.sim
-            sim.call_at(sim.now, op.wcb)
+            sim.wake_at(sim.now, op.wake)
 
     def _svc_resume(self, op: ExpressOp) -> None:
         """WRITE service done: release the lock, land the data, respond."""
@@ -561,7 +566,7 @@ class ExpressState:
         """WRITE/atomic response: the ACK takes the reverse wire."""
         op.phase = P_TAIL
         sim = self.sim
-        sim.call_at(sim.now + op.qp._bwd_ns, op.wcb)
+        sim.wake_at(sim.now + op.qp._bwd_ns, op.wake)
 
     # -- READ response path -------------------------------------------------
     def _read_rx_end(self, op: ExpressOp) -> None:
@@ -573,7 +578,7 @@ class ExpressState:
         # hardware, so it does not occupy the responder unit.
         op.phase = P_TURN
         sim = self.sim
-        sim.call_at(sim.now + qp._params.read_turnaround_ns, op.wcb)
+        sim.wake_at(sim.now + qp._params.read_turnaround_ns, op.wake)
 
     def _turnaround_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -581,7 +586,7 @@ class ExpressState:
         op.phase = P_RDMA
         self._hold(self._fifo(rp.pcie._bus),
                    rp.pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
-                   op.wcb)
+                   op.wake)
 
     def _read_dma_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -595,7 +600,7 @@ class ExpressState:
         op.phase = P_RTX
         self._hold(self._fifo(rp.tx_unit),
                    rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len),
-                   op.wcb)
+                   op.wake)
 
     def _read_tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -605,7 +610,7 @@ class ExpressState:
         qp.remote_machine.rnic.fabric.record(op.total_len)
         op.phase = P_BWD
         sim = self.sim
-        sim.call_at(sim.now + qp._bwd_ns, op.wcb)
+        sim.wake_at(sim.now + qp._bwd_ns, op.wake)
 
     def _read_back(self, op: ExpressOp) -> None:
         """Response landed: DMA the data into the local buffers."""
@@ -615,7 +620,7 @@ class ExpressState:
         op.phase = P_DLV
         self._hold(self._fifo(lp.pcie._bus),
                    lp.pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
-                                  wr.n_sge), op.wcb)
+                                  wr.n_sge), op.wake)
 
     def _deliver_end(self, op: ExpressOp) -> None:
         qp = op.qp
@@ -636,7 +641,7 @@ class ExpressState:
         if op.signaled:
             op.phase = P_T
             sim = self.sim
-            sim.call_at(sim.now + op.qp._params.cqe_dma_ns, op.wcb)
+            sim.wake_at(sim.now + op.qp._params.cqe_dma_ns, op.wake)
         else:
             self._try_finish(op)
 
@@ -645,14 +650,13 @@ class ExpressState:
 
         The stepped path parks with ``yield prev`` — a callback on the
         predecessor's done event, resuming at that event's dispatch
-        after application waiters that subscribed earlier.  Attaching
-        ``wcb`` to the same event reproduces that dispatch, order, and
+        after application waiters that subscribed earlier.  Attaching a
+        callback to the same event reproduces that dispatch, order, and
         completion timestamp exactly.
         """
         prev = op.prev
         if prev is not None and not prev._processed:
-            op.phase = P_PARK
-            prev.add_callback(op.wcb)
+            prev.add_callback(lambda _ev: self._complete(op))
             return
         self._complete(op)
 

@@ -317,8 +317,8 @@ class QueuePair:
         self._last_express_op = None
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
-        self.sim.process(self._execute(wr, done, fetch_wqe=True, prev=prev),
-                         name=self._proc_names[wr.opcode])
+        self.sim.spawn(self._execute(wr, done, fetch_wqe=True, prev=prev),
+                       name=self._proc_names[wr.opcode])
         return done
 
     def post_send_batch(self, wrs: list[WorkRequest]) -> list[Event]:
@@ -357,8 +357,8 @@ class QueuePair:
         n = len(wrs)
         self.local_port._stepped += n
         self.remote_port._stepped += n
-        self.sim.process(self._execute_batch(wrs, events, prev),
-                         name=f"qp{self.qp_id}.doorbell[{len(wrs)}]")
+        self.sim.spawn(self._execute_batch(wrs, events, prev),
+                       name=f"qp{self.qp_id}.doorbell[{len(wrs)}]")
         return events
 
     def recv(self) -> Event:
@@ -377,9 +377,9 @@ class QueuePair:
         for wr, ev in zip(wrs, events):
             # WQEs of one doorbell run back-to-back through the pipeline;
             # each chains on its predecessor for in-order completion.
-            self.sim.process(self._execute(wr, ev, fetch_wqe=False,
-                                           prev=prev),
-                             name=self._proc_names[wr.opcode])
+            self.sim.spawn(self._execute(wr, ev, fetch_wqe=False,
+                                         prev=prev),
+                           name=self._proc_names[wr.opcode])
             prev = ev
             yield 0.0
 

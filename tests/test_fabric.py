@@ -49,11 +49,14 @@ from repro.verbs import Opcode, Sge, Worker, WorkRequest
 # fused holds, and must never move either.  The dispatch-timeline pin
 # (event count + digest) moves only with deliberate event elision: it
 # was re-pinned from 1293 events when pipeline stages became fused
-# ``Resource.hold`` events.
+# ``Resource.hold`` events, then from 888 (digest 1aadadc9…) when WR
+# processes became detached (no end event) and CQ deposits stopped
+# scheduling their acceptance event.  The 768 entries left are an
+# ordered subsequence of the 888, key for key.
 BASELINE_NOW = 113623.14822335038
-BASELINE_EVENTS = 888
+BASELINE_EVENTS = 768
 BASELINE_DIGEST = \
-    "1aadadc9db46e13468f5afc6f12cc824f9731b5f37b74d70f3d54fd03cc8de7a"
+    "4e42be10606922db916e38ff3c6da3ca570e7c1e3e476373621dcde9b60c40aa"
 BASELINE_COMPLETIONS = 60
 BASELINE_COMPLETION_DIGEST = \
     "ce3d12844a2d89f2f18bdecda0710e1a36878bf61a90282eae3f7bcaea53f62b"
@@ -232,6 +235,46 @@ def test_leaf_spine_latency_arithmetic():
     assert result == (True, False)
     assert sum(delays) == pytest.approx(
         cross.base_ns() + sum(link.ser_ns(4096) for link in cross.links))
+
+
+@pytest.mark.parametrize("backlog", [0.0, 1e6])
+def test_route_traverse_matches_per_hop_admit(backlog):
+    """Route.traverse splits a message into packets once per message;
+    each hop must still see exactly what ``Link.admit`` would give it —
+    delays, drops and counters — including a tail drop mid-route."""
+    params = HardwareParams(link_queue_depth=2)
+
+    def hops(use_route):
+        sim = Simulator()
+        fabric = LeafSpineFabric(sim, params, machines=9)
+        route = fabric._build(0, 4, (0,))
+        route.links[1]._free_at = backlog  # 1e6 tail-drops at hop 2
+        out = []
+        for nbytes in (0, 100, 4096, 9000):
+            if use_route:
+                delays, result = _drain(route.traverse(nbytes))
+                out.append((delays, result))
+            else:
+                delays, result = [], (True, False)
+                for link in route.links:
+                    d, ecn, dropped, _ = link.admit(sim.now, nbytes)
+                    delays.append(d)
+                    if dropped:
+                        result = (False, result[1])
+                        break
+                    result = (True, result[1] or ecn)
+                out.append((delays, result))
+        counters = [(link.packets_in, link.bytes_in, link.packets_out,
+                     link.bytes_out, link.packets_dropped, link._free_at)
+                    for link in route.links]
+        return out, counters
+
+    via_route, route_counters = hops(True)
+    via_admit, admit_counters = hops(False)
+    assert via_route == via_admit
+    assert route_counters == admit_counters
+    delivered = [result[0] for _, result in via_route]
+    assert any(delivered) if backlog == 0.0 else not any(delivered)
 
 
 def test_clos_latency_arithmetic():

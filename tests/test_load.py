@@ -286,6 +286,47 @@ def test_open_loop_generator_rejects_unknown_outcomes():
         gen.drain()
 
 
+@pytest.mark.parametrize("fail_at", [0, 2])
+def test_open_loop_request_error_surfaces_itself_from_drain(fail_at):
+    """A detached request that raises hands drain() its own exception,
+    whether it fails after injection ended or while requests are still
+    arriving."""
+    sim, cluster, ctx = build(machines=2)
+
+    def request_fn(i):
+        yield sim.timeout(5.0)
+        if i == fail_at:
+            raise ValueError(f"request {i} broke")
+        return "ok"
+
+    gen = OpenLoopGenerator(sim, request_fn, [0.0, 1.0, 2.0, 30.0])
+    gen.start()
+    with pytest.raises(ValueError, match=f"request {fail_at} broke"):
+        gen.drain()
+
+
+def test_open_loop_drain_stops_when_the_last_request_ends():
+    sim, cluster, ctx = build(machines=2)
+    ends = []
+
+    def request_fn(i):
+        yield sim.timeout(100.0 - 10.0 * i)
+        ends.append(sim.now)
+        return "ok"
+
+    def background():
+        yield 500.0
+
+    sim.process(background())
+    gen = OpenLoopGenerator(sim, request_fn, [0.0, 1.0, 2.0])
+    gen.start()
+    gen.drain()
+    assert gen.delivered == 3
+    assert sim.now == max(ends) == 100.0
+    gen.drain()                       # nothing pending: no run at all
+    assert sim.now == 100.0
+
+
 def test_find_knee():
     assert find_knee([1, 2, 4, 8], [1.0, 1.99, 3.0, 3.2]) == 2
     assert find_knee([1, 2, 4], [1.0, 2.0, 3.9]) is None

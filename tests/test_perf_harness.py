@@ -194,6 +194,43 @@ def test_bare_delay_and_timeout_spellings_are_schedule_identical():
     assert timelines[0] == timelines[1]
 
 
+def test_spawn_and_process_spellings_differ_only_by_end_entries():
+    """`sim.spawn(g)` dispatches the `sim.process(g)` timeline minus the
+    processes' end events — every surviving entry keeps its exact
+    (time, priority, seq) key, because the elided end still consumes
+    its sequence number."""
+    def model(spawn):
+        sim = Simulator()
+        rec = []
+        sim.trace_dispatch = lambda w, p, s: rec.append((w, p, s))
+        finished = []
+
+        def child(d):
+            yield d
+            yield sim.timeout(d)
+            finished.append((sim.now, d))
+
+        def parent():
+            for i in range(5):
+                if spawn:
+                    sim.spawn(child(1.0 + i))
+                else:
+                    sim.process(child(1.0 + i))
+                yield 0.5
+
+        sim.process(parent())
+        sim.run()
+        return rec, finished, sim.now, sim._seq
+
+    full, finished, now, seq = model(False)
+    lean, finished2, now2, seq2 = model(True)
+    assert (finished2, now2, seq2) == (finished, now, seq)
+    it = iter(full)
+    assert all(any(k == x for x in it) for k in lean)   # ordered subsequence
+    dropped = [k for k in full if k not in lean]
+    assert sorted(w for w, _p, _s in dropped) == [t for t, _d in finished]
+
+
 def test_interrupting_a_bare_delay_sleeper():
     """Interrupt lands mid-sleep; the stale sleep entry is skipped like a
     cancelled timeout (and accounted as cancelled)."""

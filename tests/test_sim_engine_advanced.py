@@ -1,5 +1,6 @@
 """Advanced DES engine tests: interrupts under resource holds, condition
-failure propagation, nested processes, run() edge cases."""
+failure propagation, nested processes, run() edge cases, detached
+processes, the callback lane, and observer-free CQ deposits."""
 
 import pytest
 
@@ -11,7 +12,9 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Store,
+    Wake,
 )
+from repro.verbs.cq import CompletionQueue
 
 
 def test_interrupt_while_waiting_on_resource_releases_nothing():
@@ -189,3 +192,180 @@ def test_resource_cancel_then_release_does_not_double_grant():
     sim.run()
     assert g3.triggered and not g2.triggered
     assert res.in_use == 1
+
+
+# ------------------------------------------------ detached processes
+def test_spawn_returns_no_handle_and_schedules_no_end_event():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield 2.0
+        seen.append(sim.now)
+        return "ignored"
+
+    assert sim.spawn(child(), name="child") is None
+    sim.run()
+    assert seen == [2.0]
+    # Boot + one sleep; the end event is elided but its seq is consumed.
+    assert sim.events_processed == 2
+    assert sim._seq == 3
+
+
+def test_crash_in_detached_process_surfaces_from_run():
+    sim = Simulator()
+
+    def boom():
+        yield 1.0
+        raise KeyError("lost wr")
+
+    sim.spawn(boom(), name="boom")
+    with pytest.raises(SimulationError, match="boom") as info:
+        sim.run()
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_crash_in_detached_process_stops_run_until_event():
+    sim = Simulator()
+
+    def boom():
+        yield 1.0
+        raise RuntimeError("bad cost")
+
+    def waiter():
+        yield 10.0
+
+    sim.spawn(boom(), name="boom")
+    with pytest.raises(SimulationError, match="boom"):
+        sim.run(until=sim.process(waiter()))
+    assert sim.now == 1.0
+
+
+# ----------------------------------------------------- the callback lane
+def test_wake_at_ties_dispatch_in_allocation_order():
+    sim = Simulator()
+    order = []
+
+    def sleeper():
+        yield 10.0
+        order.append("sleep")
+
+    sim.timeout(10.0).add_callback(lambda _e: order.append("timeout1"))
+    sim.wake_at(10.0, Wake(lambda w: order.append(w.arg), "wake"))
+    sim.process(sleeper())  # its sleep is allocated at boot, later
+    sim.timeout(10.0).add_callback(lambda _e: order.append("timeout2"))
+    sim.run()
+    assert order == ["timeout1", "wake", "timeout2", "sleep"]
+    assert sim.now == 10.0
+
+
+def test_wake_marker_is_reusable_after_dispatch():
+    sim = Simulator()
+    hits = []
+
+    def fn(wake):
+        hits.append(sim.now)
+        if len(hits) < 3:
+            sim.wake_at(sim.now + wake.arg, wake)
+
+    sim.wake_at(1.0, Wake(fn, 2.5))
+    sim.run()
+    assert hits == [1.0, 3.5, 6.0]
+    assert sim.events_processed == 3
+
+
+def test_wake_at_clamps_float_dust_to_now():
+    sim = Simulator()
+    sim.run(until=5.0)
+    hits = []
+    sim.wake_at(5.0 - 1e-9, Wake(lambda _w: hits.append(sim.now)))
+    assert sim.peek() == 5.0
+    sim.run()
+    assert hits == [5.0]
+    assert sim.now == 5.0
+
+
+def test_wake_works_with_step_and_peek():
+    sim = Simulator()
+    hits = []
+    sim.wake_at(4.0, Wake(lambda w: hits.append((sim.now, w.arg)), "x"))
+    sim.timeout(7.0)
+    assert sim.peek() == 4.0
+    sim.step()
+    assert hits == [(4.0, "x")]
+    assert sim.now == 4.0
+    assert sim.peek() == 7.0
+    sim.step()
+    assert sim.now == 7.0
+    assert sim.peek() == float("inf")
+
+
+# ------------------------------------------------ observer-free deposits
+def test_cq_push_hands_cqe_to_a_blocked_waiter():
+    sim = Simulator()
+    cq = CompletionQueue(sim)
+    got = []
+
+    def reaper():
+        cqe = yield cq.wait()
+        got.append((sim.now, cqe))
+
+    def hardware():
+        yield 3.0
+        for c in ("c1", "c2", "c3"):
+            cq.push(c)
+
+    sim.process(reaper())
+    sim.process(hardware())
+    sim.run()
+    assert got == [(3.0, "c1")]
+    assert [cq.poll(), cq.poll(), cq.poll()] == ["c2", "c3", None]
+    assert (cq.produced, cq.consumed) == (3, 3)
+    assert len(cq) == 0
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_put_nowait_keeps_every_surviving_key(blocked):
+    """``Store.put_nowait`` dispatches the ``put`` timeline minus the
+    acceptance events, with every other key unchanged."""
+    def model(nowait):
+        sim = Simulator()
+        rec = []
+        sim.trace_dispatch = lambda w, p, s: rec.append((w, p, s))
+        store = Store(sim)
+        got = []
+
+        def getter():
+            got.append((yield store.get()))
+
+        def producer():
+            yield 1.0
+            for item in ("a", "b"):
+                if nowait:
+                    store.put_nowait(item)
+                else:
+                    store.put(item)
+            yield 2.0
+
+        if blocked:
+            sim.process(getter())
+        sim.process(producer())
+        sim.run()
+        return rec, got, list(store.items)
+
+    full, got, items = model(False)
+    lean, got2, items2 = model(True)
+    assert (got, items) == (got2, items2)
+    dropped = [k for k in full if k not in lean]
+    assert len(dropped) == 2            # one acceptance event per item
+    assert [k for k in full if k in lean] == lean
+
+
+def test_put_nowait_on_a_full_store_still_queues():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    store.put_nowait("a")
+    store.put_nowait("b")               # full: waits behind a put event
+    assert store.items == ("a",)
+    assert store.try_get() == "a"
+    assert store.items == ("b",)
