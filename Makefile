@@ -3,7 +3,7 @@
 PY ?= python
 
 .PHONY: install test lint lint-docs docs-check smoke check chaos bench microbench figures figures-full scorecard experiments clean \
-	perf perf-gate perf-quick perf-update bench-digests
+	perf perf-gate perf-quick perf-update bench-digests express-ab
 
 install:
 	pip install -e .
@@ -88,6 +88,12 @@ bench-digests:
 				| grep '^digest' || exit 1; \
 		done; \
 	done
+
+# Express-lane A/B over the full catalog (tools/express_ab.py): every
+# target rendered with REPRO_EXPRESS=0 and =1 must be byte-identical;
+# prints each target's dispatched events under both lanes (minutes).
+express-ab:
+	PYTHONPATH=src $(PY) tools/express_ab.py
 
 # Fault-injection test subset: the reliability layer end-to-end (loss,
 # retransmission, QP error flushes, reconnect/failover) plus the

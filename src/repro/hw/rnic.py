@@ -50,10 +50,13 @@ class RnicPort:
         self._on_tx_end = self._tx_end
         self._on_rx_end = self._rx_end
         #: Stepped-pipeline WRs currently in flight through this port.
-        #: The express lane (repro.verbs.express) refuses to book a
-        #: closed-form timeline while a stepped op holds (or may yet
-        #: acquire) any of this port's units — the two accounting schemes
-        #: must never overlap on one port.
+        #: Both verbs lanes queue on the same unit FIFOs, but an express
+        #: post (repro.verbs.express) books its first unit inside the
+        #: post call, while a stepped WR books at its process boot, an
+        #: event after the dispatch that posted it.  So the lane refuses
+        #: new posts while this is nonzero: an express post later in the
+        #: same dispatch would otherwise take a unit ahead of a stepped
+        #: WR posted before it.
         self._stepped = 0
         # Hot-path aliases: params are frozen and the wire-time cache is
         # shared device-wide (see Rnic.wire_time_ns).

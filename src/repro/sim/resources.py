@@ -7,6 +7,11 @@ res.hold(duration)`` to occupy a slot for a fixed time in one event.
 :class:`Store` is an unbounded-or-bounded FIFO of items (message queues,
 work queues).
 
+The engine's callback lane (:class:`repro.sim.Wake`) books the same
+slots without a process: :meth:`Resource.hold_wake` is the Wake twin of
+``hold`` and :meth:`Resource.request` the Wake twin of ``acquire``.
+Every kind of request waits in one FIFO.
+
 Both hand out grants in strict FIFO order, which keeps simulations
 deterministic and mirrors the in-order behaviour of the hardware queues they
 stand in for.
@@ -18,7 +23,8 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import NORMAL, Event, SimulationError, Simulator, Timeout
+from repro.sim.engine import (
+    NORMAL, Event, SimulationError, Simulator, Timeout, Wake)
 
 __all__ = ["Resource", "Store"]
 
@@ -46,7 +52,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        # Events (acquire), Timeouts (hold), (duration, Wake) pairs
+        # (hold_wake) and bare Wakes (request), in arrival order.
+        self._waiters: deque = deque()
         # busy-time accounting for utilization reports
         self._busy_ns = 0.0
         self._busy_since: Optional[float] = None
@@ -111,18 +119,52 @@ class Resource:
     def _hold_end(self, _ev: Event) -> None:
         self.release()
 
-    def _grant(self, ev: Event) -> None:
+    def hold_wake(self, duration: float, wake: Wake) -> None:
+        """:meth:`hold` for the callback lane: no Event, no process.
+
+        ``wake`` is pushed for ``now + duration`` at the grant -- here
+        when a slot is free, at the releaser's dispatch when queued --
+        so its sequence number lands where a ``hold``'s end-wake would.
+        ``wake.fn`` owns the end of the hold and must call
+        :meth:`release` first, as a ``hold``'s first callback does.
+        """
+        if not duration >= 0.0:  # also rejects NaN
+            raise ValueError(f"hold duration must be >= 0, got {duration}")
+        if self._in_use < self.capacity:
+            self._grant((duration, wake))
+        else:
+            self._waiters.append((duration, wake))
+
+    def request(self, wake: Wake) -> None:
+        """:meth:`acquire` for the callback lane: ``wake.fn(wake)`` runs
+        at the grant, inline and without an event -- inside this call
+        when a slot is free, inside the releaser's :meth:`release` when
+        queued.  The slot is held until ``release()``."""
+        if self._in_use < self.capacity:
+            self._grant(wake)
+        else:
+            self._waiters.append(wake)
+
+    def _grant(self, waiter) -> None:
         sim = self.sim
         if self._in_use == 0:
             self._busy_since = sim.now
         self._in_use += 1
-        if type(ev) is Timeout:
+        t = type(waiter)
+        if t is Timeout:
             # A hold: its end-wake is allocated at the grant instant.
-            ev._triggered = True
+            waiter._triggered = True
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + ev.delay, NORMAL, seq, ev))
+            heappush(sim._heap, (sim.now + waiter.delay, NORMAL, seq, waiter))
+        elif t is tuple:
+            # hold_wake: the same push, with the caller's marker.
+            duration, wake = waiter
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + duration, NORMAL, seq, wake))
+        elif t is Wake:
+            waiter.fn(waiter)
         else:
-            ev.succeed(self)
+            waiter.succeed(self)
 
     def release(self) -> None:
         if self._in_use <= 0:

@@ -25,17 +25,21 @@ call when the unit is free, at the *releaser's* dispatch when it
 queued (:meth:`Resource.hold`).  Anything keyed to arrival order
 instead inverts same-instant completion ties under contention, and the
 inversion propagates through shared LRU state (metadata SRAM) into
-different tables.  So the lane mirrors the grant structure literally:
+different tables.  So the lane books the very same units, through the
+same FIFOs:
 
-* Each contended resource gets a real-time FIFO mirror (``_Fifo``).  A
-  booking made while the unit is free schedules its end-wake
-  immediately (``now + dur``); a booking against a busy unit queues.
-* Every end-wake handler *first* grants the next queued booking —
-  allocating the successor's end-wake at this very dispatch, exactly
-  where the stepped ``Resource.release`` does — then bumps the unit's
-  counters (``tx_ops``/``rx_ops``/``dma_count``…) and only then
-  continues its own op, matching the stepped hold's callback order
-  (release, end callback, waiter resume).
+* Every occupied unit (``tx_unit``, ``rx_unit``, ``atomic_unit``, the
+  PCIe bus) is booked with :meth:`Resource.hold_wake`, the Wake twin of
+  ``hold``: the end-wake is pushed at the grant, so a queued booking's
+  wake gets its ``seq`` at the releaser's dispatch, exactly as a queued
+  stepped hold does.  Stepped and express requests share one FIFO per
+  unit, so a capacity-1 unit is never granted twice, whichever lanes
+  are live.
+* Every end-wake handler *first* releases the unit — granting the next
+  waiter at this very dispatch — then bumps the unit's counters
+  (``tx_ops``/``rx_ops``/``dma_count``…) and only then continues its
+  own op, matching the stepped hold's callback order (release, end
+  callback, waiter resume).
 * Cut-through pairs (payload fetch ∥ tx hold, responder rx ∥ drain
   DMA) join with one extra same-instant wake mirroring the stepped
   ``all_of`` resume; single holds continue inline in their end-wake,
@@ -43,9 +47,11 @@ different tables.  So the lane mirrors the grant structure literally:
 * Constant delays (forward wire, read turnaround, response wire, CQE
   DMA) each get their own wake allocated at the same instant the
   stepped path allocates the corresponding sleep.
-* Atomic word locks are FIFO chains whose release runs the next
-  owner's service bookings at the releaser's dispatch — the stepped
-  grant instant.
+* Atomic word locks (``Rnic.atomic_word_lock``) are taken with
+  :meth:`Resource.request`: the op parks in phase ``P_LOCK`` and its
+  service bookings run at the grant, inline — in the post's own
+  dispatch when the word is free, inside the releaser's ``release()``
+  when it queued.
 * RC in-order completion needs no arithmetic at all: an op whose
   predecessor's ``done`` has not yet *dispatched* parks by attaching
   a completion callback to that event — the very mechanism the stepped
@@ -63,14 +69,16 @@ batched, so mid-run observers see identical state.
 
 Fallback rules (the lane is chosen per post, never mid-flight):
 
-* ineligible post -> stepped generator, unchanged schedules;
-* stepped WRs in flight on either port -> stepped (the two accounting
-  schemes never overlap on one port's units);
-* fault injector construction, SEND opcodes, or tracer attachment
-  *poison* the lane for the whole run — those features interleave
-  stepped Resource holds with FIFO bookings in ways the mirror cannot
-  see.  Express ops already in flight at poison time drain on their
-  booked timelines.
+* ineligible post (SEND, traced QP, sanitizer, perturbed or lossy
+  port, ...) -> stepped generator, unchanged schedules;
+* stepped WRs in flight on either port -> stepped: an express post
+  books its first unit inside the post call, a stepped WR only at its
+  process boot after the posting dispatch, so an express post later in
+  that dispatch could overtake it (see ``RnicPort._stepped``);
+* fault injector construction *poisons* the lane for the whole run: a
+  loss fault armed mid-flight must be sampled at every attempt's tx
+  end, which only the stepped lane does.  Express ops already in
+  flight at poison time drain on their booked timelines.
 
 See docs/PERFORMANCE.md ("Express lane") for the eligibility predicate
 and the digest-gate implications.
@@ -79,7 +87,6 @@ and the digest-gate implications.
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim import Wake
@@ -100,6 +107,7 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_EXEC,     # tx-unit hold end (wake2: payload-fetch DMA end)
  P_EXEC_R,   # cut-through join resume (mirrors the all_of wake)
  P_Y,        # forward wire: request arrives at the responder
+ P_LOCK,     # atomic word lock granted (Resource.request, no event)
  P_SVC,      # WRITE rx / atomic-unit hold end (wake2: drain DMA end)
  P_SVC_R,    # WRITE service join resume
  P_RX,       # READ responder hold end
@@ -110,25 +118,7 @@ __all__ = ["ExpressState", "ExpressOp"]
  P_DLV,      # READ local delivery DMA end
  P_TAIL,     # WRITE/atomic response wire elapsed
  P_T,        # CQE DMA end: completion instant
- P_DONE) = range(15)
-
-
-class _Fifo:
-    """Real-time FIFO mirror of one capacity-1 :class:`Resource`.
-
-    ``held`` says a booking is in service; ``queue`` holds bookings made
-    while busy — ``(dur, wake)`` pairs for timed holds, bare ops for
-    atomic word locks (their span ends when the owner's service does).
-    Busy-time accounting is written through to the mirrored Resource so
-    ``utilization()`` reports identically under either lane.
-    """
-
-    __slots__ = ("res", "held", "queue")
-
-    def __init__(self, res) -> None:
-        self.res = res
-        self.held = False
-        self.queue: deque = deque()
+ P_DONE) = range(16)
 
 
 class ExpressOp:
@@ -147,7 +137,7 @@ class ExpressOp:
         "pending",
         # stashed hold durations (service hold, drain DMA)
         "h1", "h2",
-        # held word-lock FIFO (WRITE-to-hot-word / atomics), else None
+        # held atomic word lock (WRITE-to-hot-word / atomics), else None
         "wl",
         "value",
         # wake markers: primary (phase-dispatched) and cut-through
@@ -183,7 +173,7 @@ class ExpressOp:
 
 
 class ExpressState:
-    """Per-simulator express-lane state: FIFO mirrors + kill switch."""
+    """Per-simulator express-lane state: the kill switch."""
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -191,9 +181,6 @@ class ExpressState:
         #: every post.  Poisoning never touches in-flight express ops.
         self.on = True
         self.poisoned: Optional[str] = None
-        #: Resource -> _Fifo, keyed by object identity; only resources
-        #: the verbs hot path books appear here.
-        self._fifos: dict = {}
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -225,74 +212,6 @@ class ExpressState:
             self.on = False
             self.poisoned = reason
 
-    # ------------------------------------------------------- FIFO mirrors
-    def _fifo(self, res) -> _Fifo:
-        f = self._fifos.get(res)
-        if f is None:
-            f = self._fifos[res] = _Fifo(res)
-        return f
-
-    def _hold(self, fifo: _Fifo, dur: float, wake: Wake) -> None:
-        """Book a timed hold: grant now if free, else queue FIFO.
-
-        The end-wake is allocated at the grant — here when the unit is
-        free, at the releaser's dispatch when queued — which is precisely
-        where the stepped :meth:`Resource.hold` allocates it.
-        """
-        if fifo.held:
-            fifo.queue.append((dur, wake))
-            return
-        fifo.held = True
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is None:
-            res._busy_since = self.sim.now
-        sim = self.sim
-        sim.wake_at(sim.now + dur, wake)
-
-    def _release(self, fifo: _Fifo) -> None:
-        """End one hold: grant the next queued booking *at this dispatch*
-        (the stepped ``Resource.release`` pushes its grant here too), or
-        mark the unit idle and close out its busy-time span."""
-        q = fifo.queue
-        if q:
-            dur, wake = q.popleft()
-            sim = self.sim
-            sim.wake_at(sim.now + dur, wake)
-            return
-        fifo.held = False
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is not None:
-            res._busy_ns += self.sim.now - res._busy_since
-            res._busy_since = None
-
-    def _acquire_lock(self, fifo: _Fifo, op: ExpressOp) -> bool:
-        """Atomic word lock: True when granted immediately, else queued."""
-        if fifo.held:
-            fifo.queue.append(op)
-            return False
-        fifo.held = True
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is None:
-            res._busy_since = self.sim.now
-        return True
-
-    def _unlock(self, fifo: _Fifo) -> None:
-        """Release a word lock; the next owner books its service stage
-        at this dispatch (the stepped grant instant)."""
-        q = fifo.queue
-        if q:
-            op = q.popleft()
-            if op.opcode is Opcode.WRITE:
-                self._write_granted(op)
-            else:
-                self._atomic_granted(op)
-            return
-        fifo.held = False
-        res = fifo.res
-        if res._in_use == 0 and res._busy_since is not None:
-            res._busy_ns += self.sim.now - res._busy_since
-            res._busy_since = None
-
     # ------------------------------------------------------------- posting
     def post(self, qp: "QueuePair", wr: "WorkRequest", done: "Event",
              prev: Optional["Event"]) -> ExpressOp:
@@ -301,8 +220,7 @@ class ExpressState:
         op.prev = prev
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
         lp = qp.local_port
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(wqe, qp.sq_socket), op.wake)
+        lp.pcie._bus.hold_wake(lp.pcie.dma_ns(wqe, qp.sq_socket), op.wake)
         return op
 
     def post_batch(self, qp: "QueuePair", wrs: list, events: list,
@@ -322,8 +240,8 @@ class ExpressState:
             prev = op.done
         lead.wqe_bytes = total
         lp = qp.local_port
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(total, qp.sq_socket), lead.wake)
+        lp.pcie._bus.hold_wake(lp.pcie.dma_ns(total, qp.sq_socket),
+                               lead.wake)
         return ops[-1]
 
     # ------------------------------------------------------------- wake-ups
@@ -339,6 +257,11 @@ class ExpressState:
             self._exec_done(op)
         elif phase == P_Y:
             self._arrive(op)
+        elif phase == P_LOCK:
+            if op.opcode is Opcode.WRITE:
+                self._write_granted(op)
+            else:
+                self._atomic_granted(op)
         elif phase == P_SVC:
             if op.opcode is Opcode.WRITE:
                 self._write_rx_end(op)
@@ -370,13 +293,13 @@ class ExpressState:
         if op.phase == P_EXEC:
             # Payload-fetch DMA end (streams beside the tx hold).
             pcie = qp.local_port.pcie
-            self._release(self._fifo(pcie._bus))
+            pcie._bus.release()
             pcie.dma_bytes += op.outbound
             pcie.dma_count += 1
             self._exec_join(op)
         else:  # P_SVC: WRITE drain DMA end
             pcie = qp.remote_port.pcie
-            self._release(self._fifo(pcie._bus))
+            pcie._bus.release()
             pcie.dma_bytes += op.total_len
             pcie.dma_count += 1
             self._svc_join(op)
@@ -385,7 +308,7 @@ class ExpressState:
     def _wqe_end(self, op: ExpressOp) -> None:
         qp = op.qp
         pcie = qp.local_port.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.wqe_bytes
         pcie.dma_count += 1
         mates = op.mates
@@ -419,17 +342,16 @@ class ExpressState:
             op.pending = 2
             op.wake2 = Wake(self._on_wake2, op)
             buf_socket = wr.sgl[0].mr.socket if wr.sgl else lp.socket
-            self._hold(self._fifo(lp.pcie._bus),
-                       lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge),
-                       op.wake2)
-        self._hold(self._fifo(lp.tx_unit),
-                   lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge,
-                                      extra), op.wake)
+            lp.pcie._bus.hold_wake(
+                lp.pcie.dma_ns(op.outbound, buf_socket, wr.n_sge), op.wake2)
+        lp.tx_unit.hold_wake(
+            lp.tx_occupancy_ns(exec_ns, op.wire_payload, wr.n_sge, extra),
+            op.wake)
 
     def _tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         lp = qp.local_port
-        self._release(self._fifo(lp.tx_unit))
+        lp.tx_unit.release()
         lp.tx_ops += 1
         qp.local_machine.rnic.fabric.record(op.wire_payload)
         if op.pending:
@@ -467,8 +389,7 @@ class ExpressState:
             r_extra += rrnic.translate(
                 rmr.page_keys(wr.remote_offset, total_len))
             op.phase = P_RX
-            self._hold(self._fifo(rp.rx_unit), p.responder_ns + r_extra,
-                       op.wake)
+            rp.rx_unit.hold_wake(p.responder_ns + r_extra, op.wake)
             return
         if opcode is Opcode.WRITE:
             r_extra += rrnic.translate(
@@ -494,22 +415,22 @@ class ExpressState:
                 # lock release) serializes on the device RMW lock.
                 lock = rrnic._atomic_locks.get(
                     (rmr.mr_id, wr.remote_offset))
-            if lock is not None:
-                f = self._fifo(lock)
-                op.wl = f
-                if not self._acquire_lock(f, op):
-                    return  # _unlock runs _write_granted at the handover
-            self._write_granted(op)
+            if lock is None:
+                self._write_granted(op)
+            else:
+                op.wl = lock
+                op.phase = P_LOCK
+                lock.request(op.wake)
             return
         # CAS / FAA
         r_extra += rrnic.translate(rmr.page_keys(wr.remote_offset, 8))
         r_extra += qp.remote_machine.topology.cross_penalty(
             rp.socket, rmr.socket)
         op.h1 = p.exec_atomic_ns + r_extra
-        f = self._fifo(rrnic.atomic_word_lock((rmr.mr_id, wr.remote_offset)))
-        op.wl = f
-        if self._acquire_lock(f, op):
-            self._atomic_granted(op)
+        lock = rrnic.atomic_word_lock((rmr.mr_id, wr.remote_offset))
+        op.wl = lock
+        op.phase = P_LOCK
+        lock.request(op.wake)
 
     def _write_granted(self, op: ExpressOp) -> None:
         """WRITE holds the word lock (if any): cut-through rx ∥ drain."""
@@ -519,18 +440,17 @@ class ExpressState:
         op.pending = 2
         if op.wake2 is None:
             op.wake2 = Wake(self._on_wake2, op)
-        self._hold(self._fifo(rp.rx_unit), op.h1, op.wake)
-        self._hold(self._fifo(rp.pcie._bus), op.h2, op.wake2)
+        rp.rx_unit.hold_wake(op.h1, op.wake)
+        rp.pcie._bus.hold_wake(op.h2, op.wake2)
 
     def _atomic_granted(self, op: ExpressOp) -> None:
         """Atomic holds the word lock: occupy the port's atomic unit."""
         op.phase = P_SVC
-        self._hold(self._fifo(op.qp.remote_port.atomic_unit), op.h1,
-                   op.wake)
+        op.qp.remote_port.atomic_unit.hold_wake(op.h1, op.wake)
 
     def _write_rx_end(self, op: ExpressOp) -> None:
         rp = op.qp.remote_port
-        self._release(self._fifo(rp.rx_unit))
+        rp.rx_unit.release()
         rp.rx_ops += 1
         self._svc_join(op)
 
@@ -546,7 +466,7 @@ class ExpressState:
         wl = op.wl
         if wl is not None:
             op.wl = None
-            self._unlock(wl)
+            wl.release()
         if op.move_data:
             op.qp._apply_write(op.wr)
         self._tail_start(op)
@@ -554,12 +474,12 @@ class ExpressState:
     def _atomic_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.atomic_unit))
+        rp.atomic_unit.release()
         rp.rx_ops += 1
         op.value = qp._apply_atomic(op.wr)
         wl = op.wl
         op.wl = None
-        self._unlock(wl)
+        wl.release()
         self._tail_start(op)
 
     def _tail_start(self, op: ExpressOp) -> None:
@@ -572,7 +492,7 @@ class ExpressState:
     def _read_rx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.rx_unit))
+        rp.rx_unit.release()
         rp.rx_ops += 1
         # Host-memory fetch turnaround: pure latency, pipelined by the
         # hardware, so it does not occupy the responder unit.
@@ -584,28 +504,27 @@ class ExpressState:
         qp = op.qp
         rp = qp.remote_port
         op.phase = P_RDMA
-        self._hold(self._fifo(rp.pcie._bus),
-                   rp.pcie.dma_ns(op.total_len, op.wr.remote_mr.socket),
-                   op.wake)
+        rp.pcie._bus.hold_wake(
+            rp.pcie.dma_ns(op.total_len, op.wr.remote_mr.socket), op.wake)
 
     def _read_dma_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
         pcie = rp.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         # Response data serializes on the responder's link (this is why
         # outbound READ underperforms inbound WRITE — Section IV-C).
         op.phase = P_RTX
-        self._hold(self._fifo(rp.tx_unit),
-                   rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len),
-                   op.wake)
+        rp.tx_unit.hold_wake(
+            rp.tx_occupancy_ns(qp._params.responder_ns, op.total_len),
+            op.wake)
 
     def _read_tx_end(self, op: ExpressOp) -> None:
         qp = op.qp
         rp = qp.remote_port
-        self._release(self._fifo(rp.tx_unit))
+        rp.tx_unit.release()
         rp.tx_ops += 1
         qp.remote_machine.rnic.fabric.record(op.total_len)
         op.phase = P_BWD
@@ -618,14 +537,14 @@ class ExpressState:
         wr = op.wr
         lp = qp.local_port
         op.phase = P_DLV
-        self._hold(self._fifo(lp.pcie._bus),
-                   lp.pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket,
-                                  wr.n_sge), op.wake)
+        lp.pcie._bus.hold_wake(
+            lp.pcie.dma_ns(op.total_len, wr.sgl[0].mr.socket, wr.n_sge),
+            op.wake)
 
     def _deliver_end(self, op: ExpressOp) -> None:
         qp = op.qp
         pcie = qp.local_port.pcie
-        self._release(self._fifo(pcie._bus))
+        pcie._bus.release()
         pcie.dma_bytes += op.total_len
         pcie.dma_count += 1
         if op.move_data:

@@ -17,8 +17,8 @@ end-to-end decomposition (Section II-B3/B4):
 Each occupied unit (PCIe bus, tx/rx/atomic execution unit) is one fused
 :meth:`repro.sim.Resource.hold` event, and a cut-through pair is an
 ``all_of`` over two holds: a signaled single-switch WR steps through
-11-14 engine events (the express lane, :mod:`repro.verbs.express`,
-replays the same timeline in 8-12).
+9-12 engine events (the express lane, :mod:`repro.verbs.express`,
+replays the same timeline in 7-11).
 
 CPU-side costs (WQE prep, doorbell MMIO, CQE polling) are charged to the
 *calling thread* by :class:`repro.verbs.verbs.Worker`, not here — hardware
@@ -270,9 +270,11 @@ class QueuePair:
         """Per-post sunny-path predicate for the express lane.
 
         Everything here guards a stepped-path behavior the closed-form
-        timeline cannot reproduce: stepped WRs sharing this op's units,
-        queued routes, tracing/dispatch hooks, perturbed or lossy ports,
-        DCQCN pacing, or an in-order predecessor the lane cannot see.
+        timeline cannot reproduce: a stepped WR in flight on either port
+        (see ``RnicPort._stepped``), queued routes, tracing/dispatch
+        hooks, perturbed or lossy ports, DCQCN pacing, or an in-order
+        predecessor the lane cannot see.  SEND opcodes are refused by
+        the callers.
         """
         lp = self.local_port
         rp = self.remote_port
@@ -305,15 +307,10 @@ class QueuePair:
         if check is not None:
             check.on_posted(self, wr)
         exp = self.sim.express
-        if exp is not None and exp.on and check is None:
-            if wr.opcode is Opcode.SEND:
-                # Channel semantics ride the shared recv Store and mix
-                # stepped Resource holds under express bookings; one SEND
-                # retires the lane for the run.
-                exp.poison("send-opcode")
-            elif self._express_ok(prev):
-                self._last_express_op = exp.post(self, wr, done, prev)
-                return done
+        if (exp is not None and exp.on and check is None
+                and wr.opcode is not Opcode.SEND and self._express_ok(prev)):
+            self._last_express_op = exp.post(self, wr, done, prev)
+            return done
         self._last_express_op = None
         self.local_port._stepped += 1
         self.remote_port._stepped += 1
@@ -341,18 +338,11 @@ class QueuePair:
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
         exp = sim.express
-        if exp is not None and exp.on and check is None:
-            has_send = False
-            for wr in wrs:
-                if wr.opcode is Opcode.SEND:
-                    has_send = True
-                    break
-            if has_send:
-                exp.poison("send-opcode")
-            elif self._express_ok(prev):
-                self._last_express_op = exp.post_batch(self, wrs, events,
-                                                       prev)
-                return events
+        if (exp is not None and exp.on and check is None
+                and all(wr.opcode is not Opcode.SEND for wr in wrs)
+                and self._express_ok(prev)):
+            self._last_express_op = exp.post_batch(self, wrs, events, prev)
+            return events
         self._last_express_op = None
         n = len(wrs)
         self.local_port._stepped += n

@@ -67,11 +67,6 @@ class RdmaContext:
         self.tracer = tracer
         for qp in self.qps:
             qp.tracer = tracer
-        express = self.sim.express
-        if express is not None:
-            # Traced QPs step; untraced QPs sharing their atomic word
-            # locks must step too, or lock handover order diverges.
-            express.poison("tracer-attached")
 
     # -- memory -------------------------------------------------------------
     def register(self, machine: int, size: int, socket: int = 0) -> MemoryRegion:

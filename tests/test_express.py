@@ -3,9 +3,10 @@
 The closed-form WR timeline must be *bit-identical* to the stepped
 generator: same completion timestamps, same returned values, same
 payload bytes in both memory regions, same final clock — while
-dispatching strictly fewer events.  And poisoning the lane mid-run
-(fault injector, sanitizer, tracer) must flip every subsequent post back
-to the stepped path with everything still completing correctly.
+dispatching strictly fewer events.  And when both lanes are live in
+one run -- after a mid-run fault injector (which poisons the lane), a
+sanitizer, a tracer or a SEND, or beside a traced QP -- the outcome
+must still equal the all-stepped run, bit for bit.
 """
 
 import random
@@ -124,42 +125,49 @@ def test_express_equals_stepped_batched_mix(seed):
     assert ev_express < ev_stepped
 
 
-# ----------------------------------------------------- mid-run poisoning
-def _check_poisoned_run(poison, reason):
-    """Common body: poison mid-run, assert the flip and the outcome."""
-    taken = {"posts": []}
-
-    def wrapped_poison(sim, ctx):
-        taken["at"] = len(taken["posts"])
-        poison(sim, ctx)
-        assert sim.express.poisoned == reason
-        assert not sim.express.on
-
-    def counting(seed=3):
-        # Count express posts by wrapping the state's entry points.
-        outcome, _, exp = _run_mix(seed, express=True, poison=wrapped_poison)
-        return outcome, exp
-
+# ------------------------------------------------ mid-run hooks and poisoning
+def _spy_posts(mp) -> list:
+    """Record ``(qp, wrs, qp.tracer)`` at every post that takes the
+    express lane."""
     from repro.verbs.express import ExpressState
+    posts: list = []
     orig_post, orig_batch = ExpressState.post, ExpressState.post_batch
 
-    def post(self, *a, **k):
-        taken["posts"].append(1)
-        return orig_post(self, *a, **k)
+    def post(self, qp, wr, *a):
+        posts.append((qp, [wr], qp.tracer))
+        return orig_post(self, qp, wr, *a)
 
-    def post_batch(self, *a, **k):
-        taken["posts"].append(1)
-        return orig_batch(self, *a, **k)
+    def post_batch(self, qp, wrs, *a):
+        posts.append((qp, list(wrs), qp.tracer))
+        return orig_batch(self, qp, wrs, *a)
+
+    mp.setattr(ExpressState, "post", post)
+    mp.setattr(ExpressState, "post_batch", post_batch)
+    return posts
+
+
+def _check_mid_run_hook(hook, poisoned, seed=3):
+    """Call ``hook(sim, ctx)`` mid-run under both lanes.
+
+    The express run must equal the ``REPRO_EXPRESS=0`` run with the same
+    hook, bit for bit: ops in flight on the lane and stepped ops posted
+    after the hook share every unit and word lock.  Returns the express
+    posts and how many of them preceded the hook.
+    """
+    stepped, _, _ = _run_mix(seed, express=False, poison=hook)
+    at = {}
+
+    def spy(sim, ctx):
+        at["n"] = len(posts)
+        hook(sim, ctx)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "post", post)
-        mp.setattr(ExpressState, "post_batch", post_batch)
-        outcome, exp = counting()
-    # The lane ran before the poison and never after it.
-    assert 0 < taken["at"] == len(taken["posts"]) < 120
-    assert exp.poisoned == reason
-    # Every op — express in flight at poison time and stepped after —
-    # completed successfully, in posting order per the reap loop.
+        posts = _spy_posts(mp)
+        outcome, _, exp = _run_mix(seed, express=True, poison=spy)
+    assert exp.poisoned == poisoned
+    assert exp.on == (poisoned is None)
+    assert 0 < at["n"] < 120
+    # Every op completed successfully, in posting order per the reap loop.
     log = outcome["log"]
     assert len(log) == 120
     assert sorted(r[0] for r in log) == list(range(120))
@@ -169,49 +177,170 @@ def _check_poisoned_run(poison, reason):
             assert blen == 8 and value is not None
         else:
             assert value is None
-    return outcome
+    assert outcome == stepped
+    return posts, at["n"]
 
 
 def test_fault_injector_mid_run_flips_to_stepped():
-    _check_poisoned_run(
-        lambda sim, ctx: FaultInjector(sim), "fault-injector")
+    for seed in (3, 4):
+        posts, n_before = _check_mid_run_hook(
+            lambda sim, ctx: FaultInjector(sim), "fault-injector", seed)
+        # The lane ran before the poison and never after it.
+        assert n_before == len(posts)
 
 
 def test_tracer_mid_run_flips_to_stepped():
-    outcome = _check_poisoned_run(
-        lambda sim, ctx: ctx.attach_tracer(OpTracer()), "tracer-attached")
-    assert outcome is not None
+    """Attaching a tracer does not poison the lane: traced QPs step on
+    their own (every QP of the context here), and ops still in flight on
+    the lane share the units with them."""
+    for seed in (3, 4):
+        posts, n_before = _check_mid_run_hook(
+            lambda sim, ctx: ctx.attach_tracer(OpTracer()), None, seed)
+        assert n_before == len(posts)
+        assert all(tracer is None for _, _, tracer in posts)
+
+
+@pytest.mark.parametrize("seed", (3, 4))
+def test_send_mid_run_steps_without_poisoning(seed):
+    """A SEND takes the stepped lane and leaves the lane on for later
+    one-sided posts."""
+    def send(sim, ctx):
+        lmr = ctx.regions[0]
+        ctx.qps[0].post_send(WorkRequest(
+            opcode=Opcode.SEND, wr_id=10_000, sgl=[Sge(lmr, 0, 64)],
+            payload=b"hello", payload_bytes=64))
+
+    posts, _ = _check_mid_run_hook(send, None, seed)
+    assert all(wr.opcode is not Opcode.SEND
+               for _, wrs, _ in posts for wr in wrs)
 
 
 def test_sanitizer_blocks_express_posts():
     """sim.check is consulted per post: installing a sanitizer mid-run
     moves new posts to the stepped path (where checker hooks fire) even
     though the lane itself is merely bypassed, not poisoned."""
-    installed = {}
+    installed = []
 
-    def poison(sim, ctx):
-        installed["san"] = Sanitizer(sim)
+    def install(sim, ctx):
+        installed.append(Sanitizer(sim))
 
-    from repro.verbs.express import ExpressState
-    posts = []
-    orig_post, orig_batch = ExpressState.post, ExpressState.post_batch
+    for seed in (5, 6):
+        posts, n_before = _check_mid_run_hook(install, None, seed)
+        assert n_before == len(posts)
+    for san in installed:
+        san.finalize()
+
+
+# --------------------------------------------- concurrent mixed-lane clients
+def _hot_wr(rng: random.Random, lmr, rmr, i: int) -> WorkRequest:
+    """Mostly same-word atomics and 8-byte writes to those words (the
+    lock-release path), plus some plain READ/WRITE traffic."""
+    kind = rng.choice(("faa", "cas", "write8", "read", "write"))
+    roff = 8 * rng.randrange(4)
+    if kind == "faa":
+        return WorkRequest(opcode=Opcode.FAA, wr_id=i, remote_mr=rmr,
+                           remote_offset=roff, add=rng.randrange(1, 100))
+    if kind == "cas":
+        return WorkRequest(opcode=Opcode.CAS, wr_id=i, remote_mr=rmr,
+                           remote_offset=roff, compare=rng.randrange(4),
+                           swap=rng.randrange(1 << 32))
+    if kind == "write8":
+        return WorkRequest(opcode=Opcode.WRITE, wr_id=i,
+                           sgl=[Sge(lmr, 8 * rng.randrange(64), 8)],
+                           remote_mr=rmr, remote_offset=roff)
+    size = rng.choice(SIZES)
+    return WorkRequest(
+        opcode=Opcode.WRITE if kind == "write" else Opcode.READ, wr_id=i,
+        sgl=[Sge(lmr, rng.randrange(0, lmr.size - size), size)],
+        remote_mr=rmr, remote_offset=256 + rng.randrange(rmr.size - 256 - size))
+
+
+def _run_clients(seed: int, express: bool, n_clients: int = 4,
+                 n_ops: int = 40, depth: int = 4) -> tuple[dict, object]:
+    """Concurrent clients spread over both ports of both machines, all
+    hammering four hot words; the first QP is traced directly (its
+    ``tracer`` set, no context-wide attach), so its posts step while the
+    others may ride the lane."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ExpressState, "post",
-                   lambda self, *a, **k: (posts.append(1),
-                                          orig_post(self, *a, **k))[1])
-        mp.setattr(ExpressState, "post_batch",
-                   lambda self, *a, **k: (posts.append(1),
-                                          orig_batch(self, *a, **k))[1])
-        n_before = {}
+        mp.setenv("REPRO_EXPRESS", "1" if express else "0")
+        sim, cluster, ctx = build(machines=2)
+    lmr = ctx.register(0, 1 << 14)
+    rmr = ctx.register(1, 1 << 14)
+    lmr.write(0, bytes(range(256)) * (lmr.size // 256))
+    rng = random.Random(seed)
+    log: list[tuple] = []
+    procs = []
+    for c in range(n_clients):
+        port = c % 2
+        qp = ctx.create_qp(0, 1, local_port=port, remote_port=port)
+        if c == 0:
+            qp.tracer = OpTracer()
+        w = Worker(ctx, 0, socket=port)
+        wrs = [_hot_wr(rng, lmr, rmr, c * n_ops + i) for i in range(n_ops)]
 
-        def spy(sim, ctx):
-            n_before["n"] = len(posts)
-            poison(sim, ctx)
+        def client(qp=qp, w=w, wrs=wrs):
+            inflight = []
+            for wr in wrs:
+                inflight.append((yield from w.post(qp, wr)))
+                while len(inflight) >= depth:
+                    log.append(_row((yield from w.wait(inflight.pop(0)))))
+            for ev in inflight:
+                log.append(_row((yield from w.wait(ev))))
 
-        outcome, _, exp = _run_mix(5, express=True, poison=spy)
-    assert exp.on  # bypassed per-post, not poisoned
-    assert 0 < n_before["n"] == len(posts) < 120
-    assert len(outcome["log"]) == 120
-    assert {r[5] for r in outcome["log"]} == {
-        CompletionStatus.SUCCESS.value}
-    installed["san"].finalize()
+        procs.append(sim.process(client()))
+    sim.run(until=sim.all_of(procs))
+    outcome = {"log": log, "rmem": rmr.read(0, rmr.size),
+               "lmem": lmr.read(0, lmr.size), "now": sim.now}
+    return outcome, sim.express
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_traced_qp_beside_express_clients_equals_stepped(seed):
+    """Both lanes live at once on both ports and on shared word locks:
+    the outcome must still equal the all-stepped run, bit for bit."""
+    stepped, _ = _run_clients(seed, express=False)
+    with pytest.MonkeyPatch.context() as mp:
+        posts = _spy_posts(mp)
+        express, exp = _run_clients(seed, express=True)
+    assert exp.on and exp.poisoned is None
+    assert posts  # the untraced clients rode the lane
+    assert all(tracer is None for _, _, tracer in posts)
+    assert len(express["log"]) == 4 * 40
+    assert express == stepped
+
+
+def _run_back_to_back(seed: int, express: bool, n_rounds: int = 20) -> dict:
+    """One process posts a traced QP's WR and then an untraced QP's WR on
+    the same port in a single dispatch, round after round."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_EXPRESS", "1" if express else "0")
+        sim, cluster, ctx = build(machines=2)
+    lmr = ctx.register(0, 1 << 14)
+    rmr = ctx.register(1, 1 << 14)
+    rng = random.Random(seed)
+    traced = ctx.create_qp(0, 1)
+    traced.tracer = OpTracer()
+    plain = ctx.create_qp(0, 1)
+    log: list[tuple] = []
+
+    def client():
+        for i in range(0, 2 * n_rounds, 2):
+            events = [traced.post_send(_hot_wr(rng, lmr, rmr, i)),
+                      plain.post_send(_hot_wr(rng, lmr, rmr, i + 1))]
+            for ev in events:
+                log.append(_row((yield ev)))
+            yield rng.choice((0.0, 100.0, 1000.0))
+
+    sim.run(until=sim.process(client()))
+    return {"log": log, "rmem": rmr.read(0, rmr.size),
+            "lmem": lmr.read(0, lmr.size), "now": sim.now}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_express_post_never_overtakes_an_unbooted_stepped_wr(seed):
+    """A stepped WR books its first unit at its process boot, after the
+    dispatch that posted it; an express post later in that dispatch
+    must not take the unit first.  ``RnicPort._stepped`` keeps such a
+    post off the lane."""
+    assert (_run_back_to_back(seed, express=True)
+            == _run_back_to_back(seed, express=False))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store
+from repro.sim import (
+    Interrupt, Resource, SimulationError, Simulator, Store, Wake)
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -332,5 +333,136 @@ def test_hold_rejects_bad_durations_at_the_call(bad):
     res = Resource(sim, capacity=1)
     with pytest.raises(ValueError):
         res.hold(bad)
+    assert res.in_use == 0 and res.queue_len == 0
+    assert not sim._heap
+
+
+# ------------------------------------------------- callback-lane bookings
+
+def _releasing_wake(res, log, tag):
+    """A hold_wake end marker: release first, as a hold's end does."""
+    def end(wake):
+        res.release()
+        log.append((tag, res.sim.now))
+    return Wake(end)
+
+
+@pytest.mark.parametrize("wake_first", [False, True])
+def test_hold_wake_and_hold_share_one_fifo(wake_first):
+    """Stepped holds and callback-lane holds queue in one FIFO, in
+    arrival order, whichever kind arrives first."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+    kinds = ["wake", "hold"] * 2 if wake_first else ["hold", "wake"] * 2
+    for i, kind in enumerate(kinds):
+        tag = f"{kind}{i}"
+        if kind == "wake":
+            res.hold_wake(10.0, _releasing_wake(res, log, tag))
+        else:
+            res.hold(10.0, on_end=lambda ev, tag=tag: log.append(
+                (tag, sim.now)))
+    assert res.in_use == 1 and res.queue_len == 3
+    sim.run()
+    assert log == [(f"{k}{i}", 10.0 * (i + 1)) for i, k in enumerate(kinds)]
+    assert res.in_use == 0 and res.queue_len == 0
+
+
+@pytest.mark.parametrize("queued", [False, True])
+def test_hold_wake_end_seq_is_allocated_at_the_grant(queued):
+    """A tie at the hold's end instant breaks by allocation order, and a
+    queued hold_wake allocates its end-wake at the releaser's dispatch
+    -- after a Timeout made at the call -- exactly as a queued hold."""
+    def run(lane):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+        if queued:
+            res.hold(10.0)
+        dur = 5.0 if queued else 15.0
+        if lane == "wake":
+            res.hold_wake(dur, _releasing_wake(res, log, "end"))
+        else:
+            res.hold(dur, on_end=lambda ev: log.append(("end", sim.now)))
+        sim.timeout(15.0).callbacks.append(
+            lambda ev: log.append(("timeout", sim.now)))
+        sim.run()
+        return log
+
+    expected = ([("timeout", 15.0), ("end", 15.0)] if queued
+                else [("end", 15.0), ("timeout", 15.0)])
+    assert run("wake") == run("hold") == expected
+
+
+def test_request_is_granted_inline_when_free_and_inside_release():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+    res.request(Wake(lambda w: log.append(("first", res.in_use))))
+    assert log == [("first", 1)]  # granted inside the call
+    res.request(Wake(lambda w: log.append(("second", res.in_use))))
+    assert res.queue_len == 1 and len(log) == 1
+    seq = sim._seq
+    res.release()
+    assert log == [("first", 1), ("second", 1)]  # inside release()
+    assert sim._seq == seq and not sim._heap  # and without an event
+    assert res.in_use == 1 and res.queue_len == 0
+
+
+def test_request_queued_behind_a_hold_runs_at_its_end_dispatch():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+    res.hold(10.0, on_end=lambda ev: log.append(("hold-end", sim.now)))
+    res.request(Wake(lambda w: log.append(("granted", sim.now))))
+    sim.run()
+    # The release inside the hold's end grants the request before the
+    # hold's own end callback runs; the grant costs no event.
+    assert log == [("granted", 10.0), ("hold-end", 10.0)]
+    assert sim.events_processed == 1
+    assert res.in_use == 1
+
+
+def test_utilization_counts_callback_lane_holds():
+    """hold_wake and request/release keep the same busy-time account as
+    the stepped hold and acquire/release they stand in for."""
+    def run(lane):
+        sim = Simulator()
+        res = Resource(sim, capacity=2)
+        log = []
+
+        def start(service):
+            if lane == "wake":
+                return Wake(lambda w: res.hold_wake(
+                    service, _releasing_wake(res, log, "end")))
+            return Wake(lambda w: res.hold(service))
+
+        for at, service in [(0.0, 30.0), (5.0, 10.0), (10.0, 40.0),
+                            (70.0, 5.0), (90.0, 0.0)]:
+            sim.wake_at(at, start(service))
+        if lane == "wake":
+            sim.wake_at(80.0, Wake(lambda w: res.request(Wake(
+                lambda g: sim.wake_at(85.0, Wake(
+                    lambda e: res.release()))))))
+        else:
+            def acquirer():
+                yield 80.0
+                yield res.acquire()
+                yield 5.0
+                res.release()
+            sim.process(acquirer())
+        sim.run(until=100.0)
+        return res.busy_time(), res.utilization()
+
+    assert run("wake") == run("hold") == (
+        pytest.approx(65.0), pytest.approx(0.65))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_hold_wake_rejects_bad_durations_at_the_call(bad):
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    with pytest.raises(ValueError):
+        res.hold_wake(bad, Wake(lambda w: None))
     assert res.in_use == 0 and res.queue_len == 0
     assert not sim._heap
