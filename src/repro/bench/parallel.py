@@ -864,13 +864,10 @@ def run_campaign(target: str, quick: bool = True, jobs: int = 1,
 
 # ---------------------------------------------------------------- digest
 def figures_digest(figures: list[FigureResult]) -> str:
-    """Machine-independent SHA-256 over the figures' x-axes and series —
-    the same content the perf harness digests per scenario."""
-    blob = json.dumps([{
-        "name": fig.name,
-        "x": [str(x) for x in fig.x_values],
-        "series": {s.label: s.values for s in fig.series},
-    } for fig in figures], sort_keys=True, default=repr)
+    """Machine-independent SHA-256 over each figure's ``record()`` — the
+    same encoding the perf harness digests per scenario."""
+    blob = json.dumps([fig.record() for fig in figures],
+                      sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

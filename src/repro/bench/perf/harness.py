@@ -122,15 +122,10 @@ def _figure(module_name: str) -> Callable[[], dict]:
     def runner() -> dict:
         module = importlib.import_module(module_name)
         fig = module.run(quick=True)
-        return {
-            "name": fig.name,
-            "x": [str(x) for x in fig.x_values],
-            "series": {s.label: s.values for s in fig.series},
-            # The rendered table is digested separately from the
-            # schedule: a table change is an output regression and is
-            # never a legitimate reason to refresh the baseline.
-            "_table": fig.to_text(),
-        }
+        # The rendered table is digested separately from the schedule: a
+        # table change is an output regression and is never a legitimate
+        # reason to refresh the baseline.
+        return dict(fig.record(), _table=fig.to_text())
     return runner
 
 

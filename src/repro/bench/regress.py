@@ -51,11 +51,7 @@ def snapshot(names: Optional[list[str]] = None) -> dict:
     """Run the targets and return a JSON-serializable snapshot."""
     out: dict = {"format": 1, "figures": {}}
     for fig in _figures(names or DEFAULT_TARGETS):
-        out["figures"][fig.name] = {
-            "title": fig.title,
-            "x": [str(x) for x in fig.x_values],
-            "series": {s.label: s.values for s in fig.series},
-        }
+        out["figures"][fig.name] = dict(fig.record(), title=fig.title)
     return out
 
 

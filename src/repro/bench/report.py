@@ -49,6 +49,14 @@ class FigureResult:
                 return s
         raise KeyError(f"no series {label!r} in {self.name}")
 
+    def record(self) -> dict:
+        """The figure's data as one JSON-ready dict: ``name``, the x-axis
+        as strings, and each series' values by label.  Every digest and
+        snapshot of a figure is taken over this one encoding."""
+        return {"name": self.name,
+                "x": [str(x) for x in self.x_values],
+                "series": {s.label: s.values for s in self.series}}
+
     # -- rendering ----------------------------------------------------------
     def to_text(self) -> str:
         header = [self.x_label] + [s.label for s in self.series]

@@ -33,7 +33,7 @@ class SingleSwitchFabric(Fabric):
     Bandwidth is enforced at the sending RNIC port (as before), so routes
     here are *plain*: no links, no queues, one bare delay of
     ``2*wire + switch`` per direction.  This is the default topology and
-    is schedule-identical to the pre-fabric ``hw.switch.Switch``.
+    is schedule-identical to the pre-fabric crossbar model.
     """
 
     kind = "single"
@@ -44,9 +44,8 @@ class SingleSwitchFabric(Fabric):
             raise ValueError(f"a switch needs >= 2 ports, got {ports}")
         super().__init__(sim, params, seed)
         self.ports = ports
-        self._traverse_ns = (2 * params.wire_latency_ns
-                             + params.switch_latency_ns)
-        self._plain = Route(self, (), self._traverse_ns)
+        self._plain = Route(self, (), 2 * params.wire_latency_ns
+                            + params.switch_latency_ns)
 
     def path(self, src_port, dst_port, flow: int = 0) -> Route:
         return self._plain
@@ -64,7 +63,7 @@ class SingleSwitchFabric(Fabric):
 
     def describe(self) -> str:
         return (f"single-switch crossbar, {self.ports} ports, "
-                f"{self._traverse_ns:.0f} ns/traverse")
+                f"{self._plain.plain_ns:.0f} ns/traverse")
 
 
 class LeafSpineFabric(Fabric):
@@ -221,9 +220,6 @@ class ClosFabric(Fabric):
     def _edge_of(self, machine: int) -> int:
         return machine // self.hosts_per_edge
 
-    def _pod_of(self, machine: int) -> int:
-        return self._edge_of(machine) // self.edges_per_pod
-
     def _select(self, src: int, dst: int, flow: int) -> tuple:
         se, de = self._edge_of(src), self._edge_of(dst)
         if se == de:
@@ -295,8 +291,19 @@ def build_fabric(topology, sim: "Simulator", params: "HardwareParams",
     Accepts a topology name from ``TOPOLOGIES`` or an already-built
     ``Fabric`` instance (for custom shapes: pass e.g.
     ``LeafSpineFabric(sim, params, n, hosts_per_leaf=8, spines=4)``).
+    A pre-built fabric must be bound to ``sim`` and, when it wires hosts
+    to links, have at least ``machines`` of them.
     """
     if isinstance(topology, Fabric):
+        if topology.sim is not sim:
+            raise ValueError(
+                f"{topology.kind} fabric is bound to {topology.sim!r}, "
+                f"not the cluster's simulator {sim!r}")
+        if (isinstance(topology, (LeafSpineFabric, ClosFabric))
+                and topology.machines < machines):
+            raise ValueError(
+                f"{topology.kind} fabric wires {topology.machines} "
+                f"machines but the cluster has {machines}")
         return topology
     if topology == "single":
         return SingleSwitchFabric(sim, params, ports=max(18, machines * 2))

@@ -143,11 +143,10 @@ class RnicPort:
         """Occupy the requester pipeline for one WQE (a unit hold event)."""
         hold = self._perturb(
             self.tx_occupancy_ns(exec_ns, payload_bytes, n_sge, extra_ns))
-        return self.tx_unit.hold(hold, payload_bytes, self._on_tx_end)
+        return self.tx_unit.hold(hold, None, self._on_tx_end)
 
-    def _tx_end(self, ev: Event) -> None:
+    def _tx_end(self, _ev: Event) -> None:
         self.tx_ops += 1
-        self.rnic.fabric.record(ev._value)
 
     # -- responder side -----------------------------------------------------
     def exec_rx(self, base_ns: float, extra_ns: float = 0.0,
@@ -228,11 +227,6 @@ class Rnic:
         #: QP-explosion effect (Section III-D), made first-class so the
         #: tenancy layer's connection cap has something real to protect.
         self.live_qps = 0
-
-    @property
-    def switch(self) -> Fabric:
-        """Legacy alias from the single-switch era; prefer ``fabric``."""
-        return self.fabric
 
     # -- connection-state SRAM pressure -------------------------------------
     def qp_attached(self) -> None:

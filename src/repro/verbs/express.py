@@ -353,7 +353,6 @@ class ExpressState:
         lp = qp.local_port
         lp.tx_unit.release()
         lp.tx_ops += 1
-        qp.local_machine.rnic.fabric.record(op.wire_payload)
         if op.pending:
             self._exec_join(op)
         else:
@@ -526,7 +525,6 @@ class ExpressState:
         rp = qp.remote_port
         rp.tx_unit.release()
         rp.tx_ops += 1
-        qp.remote_machine.rnic.fabric.record(op.total_len)
         op.phase = P_BWD
         sim = self.sim
         sim.wake_at(sim.now + qp._bwd_ns, op.wake)

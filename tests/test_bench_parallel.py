@@ -62,6 +62,16 @@ def test_campaign_matches_plain_module_run(target):
     assert campaign.figures[0].to_text() == fig.to_text()
 
 
+def test_figures_digest_encoding_is_pinned():
+    """``figures_digest`` hashes ``FigureResult.record()``; the table2
+    campaign's digest is pinned so any change to that encoding (or to
+    Table II itself) fails here instead of silently moving every
+    committed digest."""
+    campaign = run_campaign("table2", quick=True, jobs=1, cache_dir=None)
+    assert figures_digest(campaign.figures) == (
+        "5e4084b5b75c7f52f157cb5f8173417329c39a88353df8ff1792561a07a192c1")
+
+
 def test_all_point_targets_are_point_capable():
     """A sweep module losing points/run_point/assemble must fail CI."""
     assert set(POINT_TARGETS) == set(TARGETS) - {"summary", "breakdown",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw import Cluster, HardwareParams, NumaTopology, PcieLink, Switch
+from repro.hw import (Cluster, HardwareParams, NumaTopology, PcieLink,
+                      SingleSwitchFabric)
 from repro.sim import Simulator
 
 
@@ -165,15 +166,19 @@ def test_pcie_dma_negative_size():
 def test_switch_latency_and_accounting():
     sim = Simulator()
     params = HardwareParams()
-    sw = Switch(sim, params)
-    assert sw.traverse_ns() == 2 * params.wire_latency_ns + params.switch_latency_ns
-    sw.record(100)
-    assert sw.packets == 1 and sw.bytes == 100
+    cluster = Cluster(sim, params)
+    sw = cluster.fabric
+    assert isinstance(sw, SingleSwitchFabric)
+    a, b = cluster[0].rnic.ports[0], cluster[1].rnic.ports[0]
+    route = sw.path(a, b)
+    assert not route.links             # plain route: no queues to account
+    assert route.plain_ns == 2 * params.wire_latency_ns + params.switch_latency_ns
+    assert sw.path(b, a) is route and sw.drops == 0
 
 
 def test_switch_needs_two_ports():
-    with pytest.raises(ValueError):
-        Switch(Simulator(), HardwareParams(), ports=1)
+    with pytest.raises(ValueError, match=">= 2 ports"):
+        SingleSwitchFabric(Simulator(), HardwareParams(), ports=1)
 
 
 def test_cluster_validation():
