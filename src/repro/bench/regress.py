@@ -36,14 +36,15 @@ DEFAULT_TARGETS = ["fig1", "fig4", "fig5", "fig8", "table2", "table3",
 
 
 def _figures(names: list[str]) -> list[FigureResult]:
+    from repro.bench import parallel
     figs = []
     for name in names:
         module = importlib.import_module(TARGETS[name])
-        if hasattr(module, "run"):
+        if parallel.point_capable(module):
+            figs.extend(parallel.run_campaign(
+                name, quick=True, jobs=1, cache_dir=None).figures)
+        else:
             figs.append(module.run(True))
-        elif hasattr(module, "run_lock"):
-            figs.append(module.run_lock(True))
-            figs.append(module.run_sequencer(True))
     return figs
 
 

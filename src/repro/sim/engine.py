@@ -629,8 +629,8 @@ class Simulator:
         self._event_pool: list[Event] = []
         #: Optional hook ``f(time, priority, seq)`` invoked per dispatched
         #: event — the schedule-identity tests record timelines through it.
-        #: Dispatch takes a slower loop while set; leave ``None`` in
-        #: production runs.
+        #: Bound to a local at ``run()`` entry; costs one branch per event
+        #: while ``None``.
         self.trace_dispatch: Optional[Callable[[float, int, int], None]] = None
         #: Invariant sanitizer slot (see :mod:`repro.check`).  ``None`` by
         #: default: every instrumented layer reads this attribute and the

@@ -7,8 +7,8 @@ fetch, tx unit, responder rx/atomic, response and delivery DMAs),
 constant sleeps (forward wire, read turnaround, response wire, CQE DMA),
 an ``all_of`` join per cut-through pair, and the final ``done`` event.
 On the *sunny* path — QP in RTS, plain single-switch routes, no faults,
-no DCQCN, no tracer/sanitizer — every hold duration is pure arithmetic,
-known the moment the unit is granted.
+no DCQCN — every hold duration is pure arithmetic, known the moment the
+unit is granted.
 
 This module replays that timeline on the engine's callback lane and
 with no process at all.  Each op owns one reusable :class:`Wake` marker
@@ -65,12 +65,14 @@ every scheduled wake is final.
 SRAM evaluations (QP context + per-SGE translation) run inside the
 wake handlers at the same instants — and therefore the same LRU order —
 as the stepped path; unit counters are incremented at hold ends, not
-batched, so mid-run observers see identical state.
+batched, so mid-run observers see identical state.  Observers never
+pick the lane: traced WRs are marked (``OpRecord.mark``) at the wakes
+matching the stepped marks, and sanitizer hooks fire as stepped.
 
 Fallback rules (the lane is chosen per post, never mid-flight):
 
-* ineligible post (SEND, traced QP, sanitizer, perturbed or lossy
-  port, ...) -> stepped generator, unchanged schedules;
+* ineligible post (SEND, perturbed or lossy port, ...) -> stepped
+  generator, unchanged schedules;
 * stepped WRs in flight on either port -> stepped: an express post
   books its first unit inside the post call, a stepped WR only at its
   process boot after the posting dispatch, so an express post later in
@@ -142,6 +144,8 @@ class ExpressOp:
         "value",
         # wake markers: primary (phase-dispatched) and cut-through
         "wake", "wake2",
+        # traced WRs: the OpRecord and the tracer that began it
+        "rec", "tracer",
     )
 
     def __init__(self, state: "ExpressState", qp: "QueuePair",
@@ -170,6 +174,8 @@ class ExpressOp:
         self.value = None
         self.wake = Wake(state._on_wake, self)
         self.wake2 = None
+        self.rec = None
+        self.tracer = None
 
 
 class ExpressState:
@@ -218,6 +224,8 @@ class ExpressState:
         """Book one WR's WQE fetch; the timeline unrolls wake by wake."""
         op = ExpressOp(self, qp, wr, done)
         op.prev = prev
+        if qp.tracer is not None:
+            self._begin(op, qp.tracer)
         op.wqe_bytes = wqe = qp._wqe_bytes(wr)
         lp = qp.local_port
         lp.pcie._bus.hold_wake(lp.pcie.dma_ns(wqe, qp.sq_socket), op.wake)
@@ -243,6 +251,13 @@ class ExpressState:
         lp.pcie._bus.hold_wake(lp.pcie.dma_ns(total, qp.sq_socket),
                                lead.wake)
         return ops[-1]
+
+    def _begin(self, op: ExpressOp, tracer) -> None:
+        """Open ``op``'s OpRecord; it commits to this tracer even if the
+        QP's is swapped mid-flight."""
+        op.tracer = tracer
+        op.rec = tracer.begin(op.opcode.value, op.total_len, self.sim.now,
+                              tags=op.qp.trace_tags)
 
     # ------------------------------------------------------------- wake-ups
     def _on_wake(self, wake: Wake) -> None:
@@ -316,7 +331,10 @@ class ExpressState:
             self._eval_req(op)
         else:
             op.mates = None
+            tracer = op.qp.tracer  # a batch WR's record opens here
             for m in mates:  # WR order == stepped spawn order
+                if tracer is not None:
+                    self._begin(m, tracer)
                 self._eval_req(m)
 
     def _eval_req(self, op: ExpressOp) -> None:
@@ -326,6 +344,8 @@ class ExpressState:
         first, then each SGE's pages): these mutate LRU state, so the
         instant and order are part of the equivalence contract.
         """
+        if op.rec is not None:
+            op.rec.mark("wqe_fetch", self.sim.now)
         qp = op.qp
         wr = op.wr
         lp = qp.local_port
@@ -370,11 +390,15 @@ class ExpressState:
         """Exec stage complete: the request takes the forward wire."""
         op.phase = P_Y
         sim = self.sim
+        if op.rec is not None:
+            op.rec.mark("exec", sim.now)
         sim.wake_at(sim.now + op.qp._fwd_ns, op.wake)
 
     # -- responder side ----------------------------------------------------
     def _arrive(self, op: ExpressOp) -> None:
         """Request arrival: responder evals + service-stage bookings."""
+        if op.rec is not None:
+            op.rec.mark("network", self.sim.now)
         qp = op.qp
         wr = op.wr
         p = qp._params
@@ -485,6 +509,8 @@ class ExpressState:
         """WRITE/atomic response: the ACK takes the reverse wire."""
         op.phase = P_TAIL
         sim = self.sim
+        if op.rec is not None:
+            op.rec.mark("responder", sim.now)
         sim.wake_at(sim.now + op.qp._bwd_ns, op.wake)
 
     # -- READ response path -------------------------------------------------
@@ -527,10 +553,14 @@ class ExpressState:
         rp.tx_ops += 1
         op.phase = P_BWD
         sim = self.sim
+        if op.rec is not None:
+            op.rec.mark("responder", sim.now)
         sim.wake_at(sim.now + qp._bwd_ns, op.wake)
 
     def _read_back(self, op: ExpressOp) -> None:
         """Response landed: DMA the data into the local buffers."""
+        if op.rec is not None:
+            op.rec.mark("response_net", self.sim.now)
         qp = op.qp
         wr = op.wr
         lp = qp.local_port
@@ -551,6 +581,8 @@ class ExpressState:
 
     # -- completion ---------------------------------------------------------
     def _tail_end(self, op: ExpressOp) -> None:
+        if op.rec is not None:
+            op.rec.mark("response_net", self.sim.now)
         self._cqe(op)
 
     def _cqe(self, op: ExpressOp) -> None:
@@ -581,6 +613,11 @@ class ExpressState:
         """Completion instant: deliver the Completion, unlink the chain."""
         op.phase = P_DONE
         op.prev = None
+        sim = self.sim
+        rec = op.rec
+        if rec is not None:
+            rec.mark("delivery", sim.now)
+            op.tracer.commit(rec, sim.now)
         qp = op.qp
         wr = op.wr
         if qp._last_express_op is op:
@@ -600,7 +637,6 @@ class ExpressState:
             status = CompletionStatus.SUCCESS
             value = op.value
             byte_len = 8 if opcode.is_atomic else op.total_len
-        sim = self.sim
         completion = Completion(
             wr_id=wr.wr_id, opcode=opcode, status=status,
             timestamp_ns=sim.now, value=value, byte_len=byte_len,

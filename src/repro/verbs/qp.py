@@ -40,7 +40,6 @@ or timeouts — sunny-path schedules are bit-identical to a loss-free build.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Generator, Optional
 
 from repro.hw.machine import Machine
@@ -64,8 +63,6 @@ class QPState(enum.Enum):
     RTS = "rts"
     ERR = "error"
 
-_qp_ids = itertools.count(1)
-
 
 #: Size of one work-queue entry in host memory (ConnectX-3 uses 64 B
 #: squashed WQEs for short SGLs; each extra SGE adds a 16 B segment).
@@ -85,14 +82,16 @@ class QueuePair:
     #: track events/op — the fusion factor the express lane is gated on.
     total_completions: int = 0
 
-    def __init__(self, sim: Simulator, local_machine: Machine,
+    def __init__(self, sim: Simulator, qp_id: int, local_machine: Machine,
                  remote_machine: Machine, local_port: RnicPort,
                  remote_port: RnicPort, sq_socket: Optional[int] = None,
                  cq: Optional[CompletionQueue] = None,
                  recv_queue: Optional[Store] = None,
                  max_send_wr: int = DEFAULT_MAX_SEND_WR):
         self.sim = sim
-        self.qp_id = next(_qp_ids)
+        #: Numbered from 1 per context (one per simulator), so the ECMP
+        #: hash of it never depends on what ran earlier in the process.
+        self.qp_id = qp_id
         self.local_machine = local_machine
         self.remote_machine = remote_machine
         self.local_port = local_port
@@ -268,16 +267,15 @@ class QueuePair:
 
         Everything here guards a stepped-path behavior the closed-form
         timeline cannot reproduce: a stepped WR in flight on either port
-        (see ``RnicPort._stepped``), queued routes, tracing/dispatch
-        hooks, perturbed or lossy ports, DCQCN pacing, or an in-order
-        predecessor the lane cannot see.  SEND opcodes are refused by
-        the callers.
+        (see ``RnicPort._stepped``), queued routes, perturbed or lossy
+        ports, DCQCN pacing, or an in-order predecessor the lane cannot
+        see.  SEND opcodes are refused by the callers.  Observers (a
+        tracer, a sanitizer, a dispatch listener) never pick the lane:
+        both lanes feed them the same hooks at the same instants.
         """
         lp = self.local_port
         rp = self.remote_port
         if (lp._stepped or rp._stepped or self._queued
-                or self.tracer is not None
-                or self.sim.trace_dispatch is not None
                 or lp.dcqcn is not None
                 or lp.slowdown != 1.0 or rp.slowdown != 1.0
                 or lp.jitter_rng is not None or rp.jitter_rng is not None
@@ -304,8 +302,8 @@ class QueuePair:
         if check is not None:
             check.on_posted(self, wr)
         exp = self.sim.express
-        if (exp is not None and exp.on and check is None
-                and wr.opcode is not Opcode.SEND and self._express_ok(prev)):
+        if (exp is not None and exp.on and wr.opcode is not Opcode.SEND
+                and self._express_ok(prev)):
             self._last_express_op = exp.post(self, wr, done, prev)
             return done
         self._last_express_op = None
@@ -335,7 +333,7 @@ class QueuePair:
         events = [sim.event() for _ in wrs]
         prev, self._last_completion = self._last_completion, events[-1]
         exp = sim.express
-        if (exp is not None and exp.on and check is None
+        if (exp is not None and exp.on
                 and all(wr.opcode is not Opcode.SEND for wr in wrs)
                 and self._express_ok(prev)):
             self._last_express_op = exp.post_batch(self, wrs, events, prev)
@@ -379,26 +377,14 @@ class QueuePair:
         opcode = wr.opcode
         total_len = wr.total_length
         tracer = self.tracer
-        if tracer is None:
-            record = None
-            stamp = None
-        else:
-            record = tracer.begin(opcode.value, total_len, sim.now,
-                                  tags=self.trace_tags)
-            _mark = sim.now
-
-            def stamp(stage: str) -> None:
-                nonlocal _mark
-                now = sim.now
-                record.stages[stage] = record.stages.get(stage, 0.0) \
-                    + (now - _mark)
-                _mark = now
+        record = None if tracer is None else tracer.begin(
+            opcode.value, total_len, sim.now, tags=self.trace_tags)
 
         # 1. WQE fetch (skipped when a doorbell batch prefetched it).
         if fetch_wqe:
             yield lport.pcie.dma(self._wqe_bytes(wr), self.sq_socket)
-        if stamp is not None:
-            stamp("wqe_fetch")
+        if record is not None:
+            record.mark("wqe_fetch", sim.now)
 
         # 2+3. Requester execution with cut-through payload fetch: the PCIe
         # DMA of the payload streams concurrently with WQE processing and
@@ -449,16 +435,16 @@ class QueuePair:
                 # Cut-through folds the payload fetch into this window.
                 delivered = not (lport.packet_lost() or rport.packet_lost())
             if delivered and not queued:
-                if stamp is not None:
-                    stamp("exec")
+                if record is not None:
+                    record.mark("exec", sim.now)
                 break
             if delivered:
                 # Queued fabric: the request pays its path here, inside the
                 # retry loop, because any hop may tail-drop it (the plain
                 # single-switch hop is paid in _responder_phase instead —
                 # same yield sequence, so default schedules are identical).
-                if stamp is not None:
-                    stamp("exec")
+                if record is not None:
+                    record.mark("exec", sim.now)
                 delivered, marked = yield from route.traverse(wire_payload)
                 if delivered:
                     if dcqcn is not None:
@@ -466,16 +452,16 @@ class QueuePair:
                             dcqcn.on_ecn(sim.now)
                         else:
                             dcqcn.on_delivered(sim.now)
-                    if stamp is not None:
-                        stamp("network")
+                    if record is not None:
+                        record.mark("network", sim.now)
                     break
             # Lost attempt: the requester only learns from silence — hold
             # for the (exponentially backed-off) transport ACK timeout,
             # then either retransmit or declare the retry budget spent.
             losses += 1
             yield self._retrans_wait_ns(losses)
-            if stamp is not None:
-                stamp("retrans")
+            if record is not None:
+                record.mark("retrans", sim.now)
             if self.state is not QPState.RTS:
                 # An earlier WR declared the QP dead while this one sat on
                 # its transport timer: it flushes rather than burning (and
@@ -496,7 +482,7 @@ class QueuePair:
                                           flow=self.qp_id + 131 * losses)
 
         if status is CompletionStatus.SUCCESS:
-            value = yield from self._responder_phase(wr, stamp, total_len)
+            value = yield from self._responder_phase(wr, record, total_len)
         if record is not None:
             record.retries = retries_done
 
@@ -510,9 +496,8 @@ class QueuePair:
             # delivery: RC reports it flushed — its data may have landed,
             # the same ambiguity a real flushed completion carries.
             status = CompletionStatus.WR_FLUSH_ERR
-        if stamp is not None:
-            stamp("delivery")
         if record is not None:
+            record.mark("delivery", sim.now)
             tracer.commit(record, sim.now)
         self.completed += 1
         QueuePair.total_completions += 1
@@ -545,7 +530,7 @@ class QueuePair:
         return min(p.retrans_timeout_ns * p.retrans_backoff ** (losses - 1),
                    p.retrans_timeout_cap_ns)
 
-    def _responder_phase(self, wr: WorkRequest, stamp,
+    def _responder_phase(self, wr: WorkRequest, record,
                          total_len: int) -> Generator:
         """Stages 4-7 of a delivered request: fabric, responder execution,
         ACK/response, and local delivery.  Runs once, after the (possibly
@@ -562,8 +547,8 @@ class QueuePair:
         # routes pay the fixed crossbar constant here.
         if not self._queued:
             yield self._fwd_ns
-            if stamp is not None:
-                stamp("network")
+            if record is not None:
+                record.mark("network", sim.now)
 
         # 5. Responder.
         value = None
@@ -634,9 +619,8 @@ class QueuePair:
                                 payload_bytes=wr.payload_bytes)
             yield rport.pcie.dma(max(wr.payload_bytes, 1), rport.socket)
 
-        if stamp is not None:
-
-            stamp("responder")
+        if record is not None:
+            record.mark("responder", sim.now)
 
         # 6. ACK / response returns.  On queued fabrics the reverse path
         # pays queue delay (a READ response is full payload on the wire)
@@ -653,8 +637,8 @@ class QueuePair:
                 lport.dcqcn.on_ecn(sim.now)
         else:
             yield self._bwd_ns
-        if stamp is not None:
-            stamp("response_net")
+        if record is not None:
+            record.mark("response_net", sim.now)
 
         # 7. Local delivery: READ data scattered into local buffers.
         if wr.opcode is Opcode.READ:

@@ -24,7 +24,8 @@ __all__ = ["OpRecord", "OpTracer", "STAGES"]
 #: Stage names in pipeline order.
 STAGES = [
     "wqe_fetch",      # RNIC DMA-reads the WQE (and doorbell batch lists)
-    "payload_fetch",  # payload DMA over PCIe (0 for inline/inbound ops)
+    "payload_fetch",  # never recorded: cut-through folds it into exec;
+                      # the row keeps the breakdown table's shape
     "exec",           # requester execution unit (incl. translation, SGEs)
     "retrans",        # lost attempts: wasted exec time + transport timeouts
     "network",        # outbound fabric traversal
@@ -59,11 +60,21 @@ class OpRecord:
     def stage(self, name: str) -> float:
         return self.stages.get(name, 0.0)
 
+    def __post_init__(self) -> None:
+        self._mark = self.start_ns
+
+    def mark(self, stage: str, now: float) -> None:
+        """Close ``stage`` at ``now``: it ran since the previous mark (or
+        the start).  Both verbs lanes mark at the same instants."""
+        self.stages[stage] = self.stages.get(stage, 0.0) + (now - self._mark)
+        self._mark = now
+
 
 class OpTracer:
     """Collects OpRecords and aggregates per-stage statistics."""
 
-    def __init__(self, keep_records: bool = True, max_records: int = 100_000):
+    def __init__(self, *, keep_records: bool = True,
+                 max_records: int = 100_000):
         self.keep_records = keep_records
         self.max_records = max_records
         self.records: list[OpRecord] = []

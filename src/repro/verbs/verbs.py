@@ -10,6 +10,7 @@ and hardware-heavy ones (SGL) trade off exactly as in Section III-A.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Generator, Optional, Union
 
 from repro.hw.cluster import Cluster
@@ -50,6 +51,7 @@ class RdmaContext:
                            for m in cluster]
         self.regions: list[MemoryRegion] = []
         self.qps: list[QueuePair] = []
+        self._qp_ids = itertools.count(1)
         self.tracer = None
         #: Multi-tenant service plane (repro.tenancy.ServicePlane); when
         #: attached, Workers route ops on tenant-tagged QPs through its
@@ -87,9 +89,10 @@ class RdmaContext:
         rm = self.cluster[remote]
         if local == remote:
             raise ValueError("loopback QPs are not modeled; use DramModel")
-        qp = QueuePair(self.sim, lm, rm, lm.port(local_port),
-                       rm.port(remote_port), sq_socket=sq_socket, cq=cq,
-                       recv_queue=recv_queue, max_send_wr=max_send_wr)
+        qp = QueuePair(self.sim, next(self._qp_ids), lm, rm,
+                       lm.port(local_port), rm.port(remote_port),
+                       sq_socket=sq_socket, cq=cq, recv_queue=recv_queue,
+                       max_send_wr=max_send_wr)
         qp.tracer = self.tracer
         self.qps.append(qp)
         # Connection state occupies metadata SRAM on both endpoint RNICs

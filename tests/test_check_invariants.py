@@ -8,7 +8,10 @@ Three layers:
   back in (hooks kept: hooks are infrastructure, the bug is policy) and
   the matching checker must catch it;
 * checker units — synthetic hook streams hit each violation branch, and
-  enabling a sanitizer is schedule-neutral (bit-identical dispatch).
+  enabling a sanitizer is schedule-neutral (bit-identical dispatch);
+* the ``make check`` suite on both verbs lanes — every scenario ends at
+  the same instant stepped and express, and checked app runs really
+  take the express lane.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.check import (
     Sanitizer,
     with_checkers,
 )
+from repro.check.runner import SCENARIOS
 from repro.core import IoConsolidator, RemoteSequencer, RemoteSpinLock, RpcSpinLock
 from repro.core.rpc import RpcServer
 from repro.hw import FaultInjector, HardwareParams
@@ -33,6 +37,7 @@ from repro.verbs import (
     Worker,
     WorkRequest,
 )
+from repro.verbs.express import ExpressState
 
 
 # ------------------------------------------------------------- clean chaos
@@ -498,3 +503,43 @@ def test_sanitizer_is_schedule_neutral():
     assert base_values == san_values
     assert base_events == san_events
     assert len(base_events) > 1000       # the comparison has teeth
+
+
+# ------------------------------------------- the check suite on both lanes
+
+APP_SCENARIOS = ("hashtable", "shuffle", "join", "dlog")
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_check_scenario_equal_under_both_lanes(name, monkeypatch):
+    """A sanitizer does not pick the lane: each scenario is clean and
+    ends at the same instant under ``REPRO_EXPRESS=0`` and ``=1``, and
+    the app scenarios post express while checked."""
+    posts = []
+
+    def counting(orig):
+        def post(self, qp, wrs, *args):
+            posts.append(qp)
+            return orig(self, qp, wrs, *args)
+        return post
+
+    monkeypatch.setattr(ExpressState, "post", counting(ExpressState.post))
+    monkeypatch.setattr(ExpressState, "post_batch",
+                        counting(ExpressState.post_batch))
+    ends = {}
+    for express in ("0", "1"):
+        monkeypatch.setenv("REPRO_EXPRESS", express)
+        san = SCENARIOS[name]()
+        assert san.finalize().ok
+        ends[express] = san.sim.now
+    assert ends["0"] == ends["1"]
+    if name in APP_SCENARIOS:
+        assert posts
+
+
+def test_fabric_scenario_does_not_depend_on_earlier_runs():
+    """ECMP hashes the QP id, so ids are numbered per simulator: a
+    queued-fabric run ends where it did, whatever ran before it in the
+    process."""
+    first = SCENARIOS["fabric"]().sim.now
+    assert SCENARIOS["fabric"]().sim.now == first

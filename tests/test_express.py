@@ -2,11 +2,13 @@
 
 The closed-form WR timeline must be *bit-identical* to the stepped
 generator: same completion timestamps, same returned values, same
-payload bytes in both memory regions, same final clock — while
-dispatching strictly fewer events.  And when both lanes are live in
-one run -- after a mid-run fault injector (which poisons the lane), a
-sanitizer, a tracer or a SEND, or beside a traced QP -- the outcome
-must still equal the all-stepped run, bit for bit.
+payload bytes in both memory regions, same final clock, same traced
+stage records — while dispatching strictly fewer events.  Watching
+never picks the lane: a tracer or a sanitizer, attached up front or
+mid-run, leaves posts on it.  And when both lanes are live in one run
+-- after a mid-run fault injector (which poisons the lane) or beside
+SENDs (which always step) -- the outcome must still equal the
+all-stepped run, bit for bit.
 """
 
 import random
@@ -53,12 +55,16 @@ def _row(comp) -> tuple:
 
 
 def _run_mix(seed: int, express: bool, n_ops: int = 120, depth: int = 6,
-             batch: int = 0, poison=None) -> tuple[dict, int, object]:
-    """Drive a seeded random op mix; returns (comparable outcome,
-    events dispatched, the sim's express state or None)."""
+             batch: int = 0, poison=None,
+             tracer=None) -> tuple[dict, int, object]:
+    """Drive a seeded random op mix, traced by ``tracer`` if given;
+    returns (comparable outcome, events dispatched, the sim's express
+    state or None)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_EXPRESS", "1" if express else "0")
         sim, cluster, ctx = build(machines=2)
+    if tracer is not None:
+        ctx.attach_tracer(tracer)
     lmr = ctx.register(0, 1 << 15)
     rmr = ctx.register(1, 1 << 15)
     lmr.write(0, bytes(range(256)) * (lmr.size // 256))
@@ -125,6 +131,30 @@ def test_express_equals_stepped_batched_mix(seed):
     assert ev_express < ev_stepped
 
 
+@pytest.mark.parametrize("seed,batch", [(0, 0), (1, 0), (2, 4), (3, 4)])
+def test_traced_records_equal_across_lanes(seed, batch):
+    """A traced run takes the lane: its OpRecords match the stepped
+    run's stage for stage (doorbell batches included), and it dispatches
+    exactly the events of the same run untraced."""
+    runs, tracers = {}, {}
+    for express in (False, True):
+        tracers[express] = OpTracer()
+        runs[express] = _run_mix(seed, express, batch=batch,
+                                 tracer=tracers[express])
+    (stepped, _, _), (traced, ev_traced, exp) = runs[False], runs[True]
+    assert traced == stepped
+    records = tracers[True].records
+    assert len(records) == len(traced["log"])
+    assert records == tracers[False].records
+    assert {s for r in records for s in r.stages} == {
+        "wqe_fetch", "exec", "network", "responder", "response_net",
+        "delivery"}
+    untraced, ev_untraced, _ = _run_mix(seed, express=True, batch=batch)
+    assert untraced == traced
+    assert ev_traced == ev_untraced
+    assert exp.on
+
+
 # ------------------------------------------------ mid-run hooks and poisoning
 def _spy_posts(mp) -> list:
     """Record ``(qp, wrs, qp.tracer)`` at every post that takes the
@@ -189,15 +219,23 @@ def test_fault_injector_mid_run_flips_to_stepped():
         assert n_before == len(posts)
 
 
-def test_tracer_mid_run_flips_to_stepped():
-    """Attaching a tracer does not poison the lane: traced QPs step on
-    their own (every QP of the context here), and ops still in flight on
-    the lane share the units with them."""
+def test_tracer_mid_run_keeps_the_lane():
+    """Attaching a tracer mid-run neither poisons nor bypasses the lane:
+    later posts ride it traced, and the records equal the stepped run's
+    (ops in flight at the attach stay untraced on both lanes)."""
     for seed in (3, 4):
-        posts, n_before = _check_mid_run_hook(
-            lambda sim, ctx: ctx.attach_tracer(OpTracer()), None, seed)
-        assert n_before == len(posts)
-        assert all(tracer is None for _, _, tracer in posts)
+        tracers = []
+
+        def attach(sim, ctx):
+            tracers.append(OpTracer())
+            ctx.attach_tracer(tracers[-1])
+
+        posts, n_before = _check_mid_run_hook(attach, None, seed)
+        assert n_before < len(posts)
+        assert all(tracer is None for _, _, tracer in posts[:n_before])
+        assert all(tracer is not None for _, _, tracer in posts[n_before:])
+        stepped, express = tracers
+        assert express.records and express.records == stepped.records
 
 
 @pytest.mark.parametrize("seed", (3, 4))
@@ -215,10 +253,12 @@ def test_send_mid_run_steps_without_poisoning(seed):
                for _, wrs, _ in posts for wr in wrs)
 
 
-def test_sanitizer_blocks_express_posts():
-    """sim.check is consulted per post: installing a sanitizer mid-run
-    moves new posts to the stepped path (where checker hooks fire) even
-    though the lane itself is merely bypassed, not poisoned."""
+def test_sanitizer_mid_run_keeps_the_lane():
+    """A sanitizer never picks the lane: checked posts ride it (both
+    lanes fire the same post/complete/dispatch hooks), and the outcome
+    and the report equal the ``REPRO_EXPRESS=0`` run's.  (A WR posted
+    before the install and completed after it is reported by both
+    lanes alike as a completion without a post.)"""
     installed = []
 
     def install(sim, ctx):
@@ -226,9 +266,10 @@ def test_sanitizer_blocks_express_posts():
 
     for seed in (5, 6):
         posts, n_before = _check_mid_run_hook(install, None, seed)
-        assert n_before == len(posts)
-    for san in installed:
-        san.finalize()
+        assert n_before < len(posts)
+        stepped, express = (san.finalize().render()
+                            for san in installed[-2:])
+        assert express == stepped
 
 
 # --------------------------------------------- concurrent mixed-lane clients
@@ -255,12 +296,18 @@ def _hot_wr(rng: random.Random, lmr, rmr, i: int) -> WorkRequest:
         remote_mr=rmr, remote_offset=256 + rng.randrange(rmr.size - 256 - size))
 
 
+def _send_wr(lmr, i: int) -> WorkRequest:
+    return WorkRequest(opcode=Opcode.SEND, wr_id=i, sgl=[Sge(lmr, 0, 64)],
+                       payload=b"hello", payload_bytes=64)
+
+
 def _run_clients(seed: int, express: bool, n_clients: int = 4,
                  n_ops: int = 40, depth: int = 4) -> tuple[dict, object]:
     """Concurrent clients spread over both ports of both machines, all
-    hammering four hot words; the first QP is traced directly (its
-    ``tracer`` set, no context-wide attach), so its posts step while the
-    others may ride the lane."""
+    hammering four hot words.  The first QP is traced directly (its
+    ``tracer`` set, no context-wide attach) and posts every other WR as
+    a SEND: each SEND steps, and while one is in flight every post on
+    its port steps too, so both lanes take turns on the hot words."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_EXPRESS", "1" if express else "0")
         sim, cluster, ctx = build(machines=2)
@@ -274,9 +321,11 @@ def _run_clients(seed: int, express: bool, n_clients: int = 4,
         port = c % 2
         qp = ctx.create_qp(0, 1, local_port=port, remote_port=port)
         if c == 0:
-            qp.tracer = OpTracer()
+            qp.tracer = tracer = OpTracer()
         w = Worker(ctx, 0, socket=port)
-        wrs = [_hot_wr(rng, lmr, rmr, c * n_ops + i) for i in range(n_ops)]
+        wrs = [_send_wr(lmr, c * n_ops + i) if c == 0 and i % 2
+               else _hot_wr(rng, lmr, rmr, c * n_ops + i)
+               for i in range(n_ops)]
 
         def client(qp=qp, w=w, wrs=wrs):
             inflight = []
@@ -290,7 +339,8 @@ def _run_clients(seed: int, express: bool, n_clients: int = 4,
         procs.append(sim.process(client()))
     sim.run(until=sim.all_of(procs))
     outcome = {"log": log, "rmem": rmr.read(0, rmr.size),
-               "lmem": lmr.read(0, lmr.size), "now": sim.now}
+               "lmem": lmr.read(0, lmr.size), "now": sim.now,
+               "records": tracer.records}
     return outcome, sim.express
 
 
@@ -303,29 +353,32 @@ def test_traced_qp_beside_express_clients_equals_stepped(seed):
         posts = _spy_posts(mp)
         express, exp = _run_clients(seed, express=True)
     assert exp.on and exp.poisoned is None
-    assert posts  # the untraced clients rode the lane
-    assert all(tracer is None for _, _, tracer in posts)
+    assert any(tracer is None for _, _, tracer in posts)
+    assert any(tracer is not None for _, _, tracer in posts)
+    assert all(wr.opcode is not Opcode.SEND
+               for _, wrs, _ in posts for wr in wrs)
     assert len(express["log"]) == 4 * 40
+    assert len(express["records"]) == 40
     assert express == stepped
 
 
 def _run_back_to_back(seed: int, express: bool, n_rounds: int = 20) -> dict:
-    """One process posts a traced QP's WR and then an untraced QP's WR on
-    the same port in a single dispatch, round after round."""
+    """One process posts a SEND on one QP and then a one-sided WR on
+    another QP of the same port in a single dispatch, round after
+    round."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_EXPRESS", "1" if express else "0")
         sim, cluster, ctx = build(machines=2)
     lmr = ctx.register(0, 1 << 14)
     rmr = ctx.register(1, 1 << 14)
     rng = random.Random(seed)
-    traced = ctx.create_qp(0, 1)
-    traced.tracer = OpTracer()
+    sender = ctx.create_qp(0, 1)
     plain = ctx.create_qp(0, 1)
     log: list[tuple] = []
 
     def client():
         for i in range(0, 2 * n_rounds, 2):
-            events = [traced.post_send(_hot_wr(rng, lmr, rmr, i)),
+            events = [sender.post_send(_send_wr(lmr, i)),
                       plain.post_send(_hot_wr(rng, lmr, rmr, i + 1))]
             for ev in events:
                 log.append(_row((yield ev)))

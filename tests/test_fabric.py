@@ -48,7 +48,10 @@ from repro.verbs import Opcode, Sge, Worker, WorkRequest
 # ``Resource.hold`` events, then from 888 (digest 1aadadc9…) when WR
 # processes became detached (no end event) and CQ deposits stopped
 # scheduling their acceptance event.  The 768 entries left are an
-# ordered subsequence of the 888, key for key.
+# ordered subsequence of the 888, key for key.  The timeline pin is the
+# stepped lane's (``REPRO_EXPRESS=0``): with a dispatch listener
+# attached the run still takes the express lane, which dispatches fewer
+# events for the same end time and completions.
 BASELINE_NOW = 113623.14822335038
 BASELINE_EVENTS = 768
 BASELINE_DIGEST = \
@@ -71,7 +74,24 @@ def _drain(gen):
 
 # ------------------------------------------------------ schedule identity
 
-def test_single_switch_schedule_identical_to_pre_fabric():
+def test_single_switch_schedule_identical_to_pre_fabric(monkeypatch):
+    for express in ("0", "1"):
+        monkeypatch.setenv("REPRO_EXPRESS", express)
+        now, outcomes, timeline = _single_switch_run()
+        assert now == BASELINE_NOW
+        assert len(outcomes) == BASELINE_COMPLETIONS
+        assert _digest(outcomes) == BASELINE_COMPLETION_DIGEST
+        digest = hashlib.sha256(repr(timeline).encode()).hexdigest()
+        if express == "0":
+            assert len(timeline) == BASELINE_EVENTS
+            assert digest == BASELINE_DIGEST
+        else:
+            assert len(timeline) < BASELINE_EVENTS
+
+
+def _single_switch_run():
+    """3-machine WRITE/READ/FAA run with a dispatch listener attached;
+    returns (end time, completions, dispatch timeline)."""
     sim, cluster, ctx = build(machines=3)
     timeline = []
     sim.trace_dispatch = lambda t, p, s: timeline.append((t, p, s))
@@ -103,12 +123,7 @@ def test_single_switch_schedule_identical_to_pre_fabric():
 
     p = sim.process(drive())
     sim.run(until=p)
-    digest = hashlib.sha256(repr(timeline).encode()).hexdigest()
-    assert sim.now == BASELINE_NOW
-    assert len(outcomes) == BASELINE_COMPLETIONS
-    assert _digest(outcomes) == BASELINE_COMPLETION_DIGEST
-    assert len(timeline) == BASELINE_EVENTS
-    assert digest == BASELINE_DIGEST
+    return sim.now, outcomes, timeline
 
 
 # Seeded leaf-spine incast outcome pin, recorded before pipeline stages

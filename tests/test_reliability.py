@@ -115,7 +115,7 @@ def test_backoff_sequence_is_truncated_exponential():
     params = HardwareParams(retrans_timeout_ns=1_000.0, retrans_backoff=2.0,
                             retrans_timeout_cap_ns=3_000.0, retry_cnt=2)
     sim, ctx, qp, w, lmr, rmr = _rig(params)
-    tracer = OpTracer(sim)
+    tracer = OpTracer()
     qp.tracer = tracer
     FaultInjector(sim).port_down(qp.local_port)
 

@@ -5,6 +5,10 @@ Runs every figure/table/ext target twice in one process — once with
 diffs the rendered tables byte-for-byte.  Also reports dispatched
 events per run, which is the lane's whole point.
 
+Point-capable targets run through ``repro.bench.parallel.run_campaign``
+serially with the point cache off (cache keys ignore ``REPRO_EXPRESS``);
+meta targets run their ``run()``.
+
 Usage::
 
     PYTHONPATH=src python tools/express_ab.py [target ...]
@@ -20,21 +24,19 @@ import sys
 import time
 
 
-META = {"summary", "breakdown", "scorecard"}
+META = {"summary", "scorecard"}
 
 
 def run_target(name: str, module) -> tuple[str, int]:
+    from repro.bench import parallel
     from repro.sim.engine import Simulator
     before = Simulator.total_events
-    if hasattr(module, "run"):
-        text = module.run(quick=True).to_text()
+    if parallel.point_capable(module):
+        figs = parallel.run_campaign(name, quick=True, jobs=1,
+                                     cache_dir=None).figures
     else:
-        # Multi-figure targets (fig10/fig13/fig16) expose points/assemble
-        # instead of a single run(); diff every figure's rendering.
-        values = [module.run_point(pt, quick=True)
-                  for pt in module.points(quick=True)]
-        figs = module.assemble(values, quick=True)
-        text = "\n".join(f.to_text() for f in figs)
+        figs = [module.run(quick=True)]
+    text = "\n".join(f.to_text() for f in figs)
     events = Simulator.total_events - before
     return text, events
 
